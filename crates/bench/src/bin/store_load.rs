@@ -5,7 +5,8 @@
 //!
 //! * What does a replica restart cost without a store (the full text-parse
 //!   cold path) versus with a populated `--store-dir` (designs rehydrated
-//!   from checksummed binary segments)?
+//!   from compact binary records in checksummed segments)? Each lane is
+//!   the median over independent restart rounds.
 //! * What does each request pay for its wire encoding — the same warm
 //!   server driven over a JSON-lines connection versus a framed binary
 //!   connection?
@@ -81,35 +82,60 @@ fn connect(handle: &ServerHandle, binary: bool) -> Client {
     }
 }
 
-/// The restart experiment: the same timing battery against (a) a fresh
+/// One restart round: the same timing battery against (a) a fresh
 /// storeless server — the full text-parse cold path — and (b) a fresh
-/// server warm-starting from a store a previous life populated.
-fn restart_experiment(
-    designs: &[String],
-    store_dir: &std::path::Path,
-    out: &mut Vec<Sample>,
-) -> (f64, f64, Vec<String>) {
-    let reqs: Vec<Request> = designs.iter().map(|d| timing_request(d)).collect();
+/// server warm-starting from a store a previous life populated. Returns
+/// the per-request means of the four lanes and life 2's response lines.
+fn restart_round(reqs: &[Request], store_dir: &std::path::Path) -> ([f64; 4], Vec<String>) {
+    let _ = std::fs::remove_dir_all(store_dir);
 
     // Cold path: no store, every design is parsed from text.
     let handle = start_server(None);
-    let (cold, _) = run_pass(&mut connect(&handle, false), &reqs);
+    let (cold, _) = run_pass(&mut connect(&handle, false), reqs);
     handle.shutdown();
 
     // Life 1 populates the store (parse + write-through), then dies.
     let handle = start_server(Some(store_dir));
-    let (first_life, _) = run_pass(&mut connect(&handle, false), &reqs);
+    let (first_life, _) = run_pass(&mut connect(&handle, false), reqs);
     handle.shutdown();
 
     // Life 2 warm-starts: a fresh LRU, but every design rehydrates from
     // the checksummed segments instead of the text parser.
     let handle = start_server(Some(store_dir));
     let mut client = connect(&handle, false);
-    let (warm_start, lines) = run_pass(&mut client, &reqs);
+    let (warm_start, lines) = run_pass(&mut client, reqs);
     // Same server, second pass: the in-memory warm-cache floor.
-    let (warm_cache, _) = run_pass(&mut client, &reqs);
+    let (warm_cache, _) = run_pass(&mut client, reqs);
     handle.shutdown();
+    ([cold, first_life, warm_start, warm_cache], lines)
+}
 
+fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
+
+/// The restart experiment: `rounds` independent restart rounds, each lane
+/// reported as the median of its per-round means (one battery per round
+/// is only a handful of requests, so a single round is at the mercy of
+/// scheduler noise).
+fn restart_experiment(
+    designs: &[String],
+    store_dir: &std::path::Path,
+    rounds: usize,
+    out: &mut Vec<Sample>,
+) -> (f64, f64, Vec<String>) {
+    let reqs: Vec<Request> = designs.iter().map(|d| timing_request(d)).collect();
+    let mut lanes: [Vec<f64>; 4] = Default::default();
+    let mut lines = Vec::new();
+    for _ in 0..rounds {
+        let (means, round_lines) = restart_round(&reqs, store_dir);
+        for (lane, mean) in lanes.iter_mut().zip(means) {
+            lane.push(mean);
+        }
+        lines = round_lines;
+    }
+    let [cold, first_life, warm_start, warm_cache] = lanes.map(median);
     for (name, mean) in [
         ("store/restart/cold-no-store", cold),
         ("store/restart/first-life-populating", first_life),
@@ -119,7 +145,7 @@ fn restart_experiment(
         out.push(Sample {
             name: name.to_owned(),
             mean_ns: mean,
-            samples: designs.len(),
+            samples: designs.len() * rounds,
         });
     }
     (cold, warm_start, lines)
@@ -215,7 +241,8 @@ fn main() {
     let _ = std::fs::remove_dir_all(&store_dir);
 
     let mut samples = Vec::new();
-    let (cold, warm_start, lines) = restart_experiment(&designs, &store_dir, &mut samples);
+    let rounds = if quick { 5 } else { 9 };
+    let (cold, warm_start, lines) = restart_experiment(&designs, &store_dir, rounds, &mut samples);
     transport_experiment(&designs, if quick { 4 } else { 16 }, &mut samples);
     let (json_bytes, frame_bytes) =
         codec_experiment(&lines, if quick { 50 } else { 400 }, &mut samples);
@@ -260,9 +287,10 @@ fn main() {
         "store_load: in-process localwm-serve on loopback TCP over {} mediabench \
          designs; restart = serial timing battery against a storeless server \
          (cold), a first --store-dir life (populating), a restarted life over \
-         the same dir (warm start: designs rehydrate from checksummed segments \
-         instead of the text parser), and a same-process second pass (warm-cache \
-         floor); transport = the warm battery over JSON-lines vs LWMB1 framed \
+         the same dir (warm start: designs rehydrate from compact binary records \
+         in checksummed segments instead of the text parser), and a same-process \
+         second pass (warm-cache floor), each lane the median of {rounds} rounds' \
+         per-request means; transport = the warm battery over JSON-lines vs LWMB1 framed \
          binary connections; codec = encode+decode round-trips of the battery's \
          response objects in isolation ({json_bytes} JSON bytes vs {frame_bytes} \
          frame bytes); host had {} CPU core(s)",

@@ -45,6 +45,13 @@ pub enum CdfgError {
         /// Description of the problem.
         message: String,
     },
+    /// The binary format was malformed.
+    Binary {
+        /// Byte offset of the offending field.
+        offset: usize,
+        /// Description of the problem.
+        message: String,
+    },
 }
 
 impl fmt::Display for CdfgError {
@@ -69,6 +76,9 @@ impl fmt::Display for CdfgError {
             CdfgError::DuplicateName(name) => write!(f, "duplicate node name `{name}`"),
             CdfgError::Parse { line, message } => {
                 write!(f, "parse error on line {line}: {message}")
+            }
+            CdfgError::Binary { offset, message } => {
+                write!(f, "binary decode error at byte {offset}: {message}")
             }
         }
     }

@@ -1,7 +1,5 @@
 //! The CDFG arena graph.
 
-use std::collections::HashMap;
-
 use crate::{CdfgError, EdgeId, NodeId, OpKind, StrArena, Sym};
 
 /// The kind of a CDFG edge.
@@ -118,8 +116,9 @@ pub struct Cdfg {
     in_edges: Vec<Vec<EdgeId>>,
     /// All node names, interned once each.
     arena: StrArena,
-    /// Name symbol → node. Keys resolve through `arena`.
-    names: HashMap<Sym, NodeId>,
+    /// Name symbol → node, indexed by [`Sym::index`]: every symbol in
+    /// `arena` names exactly one node.
+    named: Vec<NodeId>,
 }
 
 impl Cdfg {
@@ -136,7 +135,7 @@ impl Cdfg {
             out_edges: Vec::with_capacity(nodes),
             in_edges: Vec::with_capacity(nodes),
             arena: StrArena::new(),
-            names: HashMap::new(),
+            named: Vec::new(),
         }
     }
 
@@ -203,14 +202,16 @@ impl Cdfg {
         name: impl AsRef<str>,
     ) -> Result<NodeId, CdfgError> {
         let name = name.as_ref();
-        // Every interned symbol belongs to exactly one named node, so a
-        // lookup hit *is* the duplicate check.
-        if self.arena.lookup(name).is_some() {
+        // Every interned symbol belongs to exactly one named node, so an
+        // intern that does not grow the arena *is* the duplicate check.
+        let before = self.arena.len();
+        let sym = self.arena.intern(name);
+        if self.arena.len() == before {
             return Err(CdfgError::DuplicateName(name.to_owned()));
         }
-        let sym = self.arena.intern(name);
         let id = NodeId::from_index(self.nodes.len());
-        self.names.insert(sym, id);
+        debug_assert_eq!(sym.index(), self.named.len());
+        self.named.push(id);
         self.nodes.push(Node {
             kind,
             name: Some(sym),
@@ -224,7 +225,7 @@ impl Cdfg {
     /// Looks a node up by name.
     pub fn node_by_name(&self, name: &str) -> Option<NodeId> {
         let sym = self.arena.lookup(name)?;
-        self.names.get(&sym).copied()
+        self.named.get(sym.index()).copied()
     }
 
     /// The name of a node, resolved through the graph's intern arena;

@@ -19,6 +19,7 @@
 //! and textfmt/DOT/serde output is byte-identical to the `String`-field
 //! representation.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// An interned string: a dense index into its owning [`StrArena`].
@@ -42,9 +43,18 @@ pub struct StrArena {
     buf: String,
     /// `(start, end)` byte span of each symbol in `buf`.
     spans: Vec<(u32, u32)>,
-    /// FNV-1a name hash → symbols with that hash (almost always one; the
-    /// chain exists only for hash collisions, resolved by comparing bytes).
-    index: HashMap<u64, Vec<Sym>>,
+    /// FNV-1a name hash → the first symbol interned with that hash.
+    index: HashMap<u64, Sym>,
+    /// Later symbols whose hash collided with an `index` entry (empty in
+    /// practice; resolved by comparing bytes). Kept apart so the common
+    /// case stores one `Sym` per name, not a one-element chain.
+    collisions: HashMap<u64, Vec<Sym>>,
+}
+
+/// The string `sym` spans in `buf`.
+fn span_str<'a>(buf: &'a str, spans: &[(u32, u32)], sym: Sym) -> &'a str {
+    let (start, end) = spans[sym.index()];
+    &buf[start as usize..end as usize]
 }
 
 fn fnv1a(bytes: &[u8]) -> u64 {
@@ -54,6 +64,16 @@ fn fnv1a(bytes: &[u8]) -> u64 {
         h = h.wrapping_mul(0x0000_0100_0000_01B3);
     }
     h
+}
+
+/// Appends `s` to the arena buffer and returns its fresh symbol.
+fn push_span(buf: &mut String, spans: &mut Vec<(u32, u32)>, s: &str) -> Sym {
+    let start = u32::try_from(buf.len()).expect("arena byte overflow");
+    buf.push_str(s);
+    let end = u32::try_from(buf.len()).expect("arena byte overflow");
+    let sym = Sym(u32::try_from(spans.len()).expect("arena symbol overflow"));
+    spans.push((start, end));
+    sym
 }
 
 impl StrArena {
@@ -84,27 +104,42 @@ impl StrArena {
     /// are orders of magnitude smaller).
     pub fn intern(&mut self, s: &str) -> Sym {
         let h = fnv1a(s.as_bytes());
-        if let Some(chain) = self.index.get(&h) {
-            for &sym in chain {
-                if self.get(sym) == s {
-                    return sym;
-                }
+        let first = match self.index.entry(h) {
+            Entry::Vacant(slot) => {
+                let sym = push_span(&mut self.buf, &mut self.spans, s);
+                slot.insert(sym);
+                return sym;
             }
+            Entry::Occupied(slot) => *slot.get(),
+        };
+        if span_str(&self.buf, &self.spans, first) == s {
+            return first;
         }
-        let start = u32::try_from(self.buf.len()).expect("arena byte overflow");
-        self.buf.push_str(s);
-        let end = u32::try_from(self.buf.len()).expect("arena byte overflow");
-        let sym = Sym(u32::try_from(self.spans.len()).expect("arena symbol overflow"));
-        self.spans.push((start, end));
-        self.index.entry(h).or_default().push(sym);
+        let chain = self.collisions.entry(h).or_default();
+        if let Some(&sym) = chain
+            .iter()
+            .find(|&&sym| span_str(&self.buf, &self.spans, sym) == s)
+        {
+            return sym;
+        }
+        let sym = push_span(&mut self.buf, &mut self.spans, s);
+        chain.push(sym);
         sym
     }
 
     /// The symbol `s` interns to, if it was interned.
     #[must_use]
     pub fn lookup(&self, s: &str) -> Option<Sym> {
-        let chain = self.index.get(&fnv1a(s.as_bytes()))?;
-        chain.iter().copied().find(|&sym| self.get(sym) == s)
+        let h = fnv1a(s.as_bytes());
+        let first = *self.index.get(&h)?;
+        if self.get(first) == s {
+            return Some(first);
+        }
+        self.collisions
+            .get(&h)?
+            .iter()
+            .copied()
+            .find(|&sym| self.get(sym) == s)
     }
 
     /// Resolves a symbol to its string.
@@ -116,8 +151,7 @@ impl StrArena {
     /// symbols must stay with their arena).
     #[must_use]
     pub fn get(&self, sym: Sym) -> &str {
-        let (start, end) = self.spans[sym.index()];
-        &self.buf[start as usize..end as usize]
+        span_str(&self.buf, &self.spans, sym)
     }
 }
 

@@ -39,6 +39,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod binfmt;
 mod builder;
 mod csr;
 mod dot;
@@ -55,6 +56,7 @@ pub mod analysis;
 pub mod designs;
 pub mod generators;
 
+pub use binfmt::{read_cdfg_binary, write_cdfg_binary};
 pub use builder::CdfgBuilder;
 pub use csr::Csr;
 pub use error::CdfgError;

@@ -17,10 +17,8 @@
 
 use std::fs;
 
-use localwm_cdfg::{write_cdfg, Cdfg};
-use localwm_store::binval::decode_value;
+use localwm_cdfg::{read_cdfg_binary, write_cdfg};
 use localwm_store::{DesignStore, RecordKind};
-use serde::Deserialize;
 
 use crate::commands::flag_value;
 
@@ -99,8 +97,7 @@ fn get(store: &DesignStore, args: &[String]) -> CliResult {
         .get(RecordKind::Design, key)
         .map_err(|e| format!("reading record {key:016x}: {e}"))?
         .ok_or_else(|| format!("no design record with key {key:016x}"))?;
-    let value = decode_value(&payload).map_err(|e| format!("record {key:016x}: {e}"))?;
-    let graph = Cdfg::from_value(&value).map_err(|e| format!("record {key:016x}: {e}"))?;
+    let graph = read_cdfg_binary(&payload).map_err(|e| format!("record {key:016x}: {e}"))?;
     let text = write_cdfg(&graph);
     match flag_value(args, "-o") {
         Some(out) => {

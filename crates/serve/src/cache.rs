@@ -29,20 +29,19 @@
 //!
 //! With `--store-dir`, a [`DesignStore`] sits under the LRU as a
 //! write-through tier: an in-memory miss consults the store (text alias →
-//! content hash → binary design record, decoded without touching the text
-//! parser), and a true miss parses the text then writes the design and its
-//! alias through to disk. A restarted replica therefore warm-starts: its
-//! first request per design costs a binary decode, not a parse.
+//! content hash → compact binary design record, decoded without touching
+//! the text parser), and a true miss parses the text then writes the
+//! design and its alias through to disk. A restarted replica therefore
+//! warm-starts: its first request per design costs a binary decode, not a
+//! parse.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-use localwm_cdfg::{parse_cdfg, Cdfg};
+use localwm_cdfg::{parse_cdfg, read_cdfg_binary, write_cdfg_binary, Cdfg};
 use localwm_engine::DesignContext;
-use localwm_store::binval::{decode_value, value_to_bytes};
 use localwm_store::{DesignStore, RecordKind};
-use serde::{Deserialize, Serialize};
 
 /// Default shard count, capped by the capacity so every shard can hold at
 /// least one design.
@@ -369,8 +368,7 @@ fn load_from_store(store: &DesignStore, text_key: u64) -> Option<DesignContext> 
     let alias = store.get(RecordKind::Alias, text_key).ok()??;
     let hash = u64::from_le_bytes(alias.try_into().ok()?);
     let bytes = store.get(RecordKind::Design, hash).ok()??;
-    let value = decode_value(&bytes).ok()?;
-    let graph = Cdfg::from_value(&value).ok()?;
+    let graph = read_cdfg_binary(&bytes).ok()?;
     Some(DesignContext::from_stored(graph, hash))
 }
 
@@ -379,7 +377,7 @@ fn load_from_store(store: &DesignStore, text_key: u64) -> Option<DesignContext> 
 /// they are logged and the parse result is served normally.
 fn write_through(store: &DesignStore, fresh: &DesignContext, text_key: u64) {
     let hash = fresh.content_hash();
-    let design = value_to_bytes(&fresh.graph().to_value());
+    let design = write_cdfg_binary(fresh.graph());
     if let Err(e) = store.put(RecordKind::Design, hash, &design) {
         eprintln!("localwm-serve: store write-through (design {hash:016x}): {e}");
         return;

@@ -686,6 +686,13 @@ impl ServerHandle {
         self.addr
     }
 
+    /// Whether a drain has begun (a `shutdown` request was read or
+    /// [`ServerHandle::shutdown`] was called): from then on new work is
+    /// refused with `shutting_down`.
+    pub fn is_draining(&self) -> bool {
+        self.shared.shutting_down.load(Ordering::SeqCst)
+    }
+
     /// Blocks until the server stops (a `shutdown` request arrives or
     /// [`ServerHandle::shutdown`] is called from another thread).
     pub fn join(self) {

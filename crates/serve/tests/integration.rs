@@ -406,6 +406,16 @@ fn requests_during_drain_are_refused_as_shutting_down() {
 
     let mut admin = connect(&handle);
     admin.send(&Request::new(RequestKind::Shutdown)).unwrap();
+    // The admin's line travels on its own connection: until the server
+    // has read it, a request on another connection is ordinary work.
+    let deadline = std::time::Instant::now() + Duration::from_secs(30);
+    while !handle.is_draining() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "server never began draining"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     // While the drain is in progress, new work is refused. The drain can
     // also finish first on a fast box, so a refused or closed connection

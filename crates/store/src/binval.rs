@@ -49,7 +49,13 @@ const TAG_OBJECT: u8 = 0x08;
 
 /// FNV-1a over `bytes` — the checksum used by frames and segment records.
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    fnv1a_extend(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// Continues an FNV-1a hash from state `h` over `bytes`, so a checksum
+/// over several buffers needs no concatenated copy:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
         h = h.wrapping_mul(0x0000_0100_0000_01B3);

@@ -25,7 +25,7 @@ use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
-use crate::binval::fnv1a;
+use crate::binval::{fnv1a, fnv1a_extend};
 
 /// Magic bytes opening every segment file.
 pub const SEGMENT_MAGIC: &[u8; 8] = b"LWMSEG1\n";
@@ -51,13 +51,11 @@ pub fn parse_segment_file_name(name: &str) -> Option<u32> {
     digits.parse().ok()
 }
 
-/// The checksum a record carries: FNV-1a over kind, key and payload.
+/// The checksum a record carries: FNV-1a over kind, key and payload,
+/// streamed field by field (no concatenated copy of the payload).
 pub fn record_checksum(kind: u8, key: u64, payload: &[u8]) -> u64 {
-    let mut buf = Vec::with_capacity(9 + payload.len());
-    buf.push(kind);
-    buf.extend_from_slice(&key.to_le_bytes());
-    buf.extend_from_slice(payload);
-    fnv1a(&buf)
+    let h = fnv1a_extend(fnv1a(&[kind]), &key.to_le_bytes());
+    fnv1a_extend(h, payload)
 }
 
 /// Where one live record sits on disk.
@@ -309,6 +307,20 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         std::fs::create_dir_all(&dir).unwrap();
         dir
+    }
+
+    #[test]
+    fn record_checksum_is_pinned() {
+        // Existing segment files carry checksums computed over the
+        // concatenation kind ++ key-LE ++ payload; the streamed form must
+        // reproduce them bit for bit.
+        let mut concat = vec![2u8];
+        concat.extend_from_slice(&0x0123_4567_89AB_CDEFu64.to_le_bytes());
+        concat.extend_from_slice(b"payload");
+        let sum = record_checksum(2, 0x0123_4567_89AB_CDEF, b"payload");
+        assert_eq!(sum, fnv1a(&concat));
+        assert_eq!(sum, 0xe79b_4c9d_542e_8bd5);
+        assert_eq!(record_checksum(0, 0, b""), 0xe604_823a_2490_29bf);
     }
 
     #[test]

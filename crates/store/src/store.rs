@@ -3,7 +3,7 @@
 //! A [`DesignStore`] is a directory of append-only [segment](crate::segment)
 //! files plus an in-memory index rebuilt by scanning every segment on open.
 //! Keys are 64-bit content hashes; payloads are opaque bytes (the serve
-//! tier stores binary-encoded designs and text-alias records). The store
+//! tier stores compact binary designs and text-alias records). The store
 //! is *content-addressed*: putting a key that is already present is a
 //! no-op, so concurrent replicas converge on one record per design.
 //!
@@ -26,10 +26,17 @@ use crate::segment::{
 use crate::fault::{StoreFaultAction, StoreFaultInjector, StoreFaultPlan, StorePoint};
 
 /// The record kinds the serve tier stores.
+///
+/// On-disk tags: `1` alias, `2` design. Tag `0` held design records whose
+/// payload was a [`crate::binval`]-encoded `Value` tree; such records are
+/// still scanned, indexed and carried by [`DesignStore::compact`], but no
+/// kind names them, so they are never served. A server over an old
+/// directory parses each design once and writes the tag-`2` record
+/// through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum RecordKind {
     /// A design record: key = canonical content hash, payload = the
-    /// binary-encoded design (see [`crate::binval`]).
+    /// compact binary design (`localwm_cdfg::write_cdfg_binary`).
     Design,
     /// An alias record: key = FNV-1a of the raw request text, payload =
     /// the 8-byte little-endian content hash it resolves to. Aliases let
@@ -38,12 +45,15 @@ pub enum RecordKind {
 }
 
 impl RecordKind {
-    /// Every kind, in tag order.
+    /// Every kind.
     pub const ALL: [RecordKind; 2] = [RecordKind::Design, RecordKind::Alias];
 
     /// The on-disk tag byte.
     pub fn tag(self) -> u8 {
-        self as u8
+        match self {
+            RecordKind::Alias => 1,
+            RecordKind::Design => 2,
+        }
     }
 
     /// Parses an on-disk tag byte.
@@ -604,6 +614,16 @@ mod tests {
         assert!(store.contains(RecordKind::Design, 7));
         assert!(!store.contains(RecordKind::Design, 8));
         fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn record_tags_are_stable_and_skip_the_retired_design_tag() {
+        assert_eq!(RecordKind::Alias.tag(), 1);
+        assert_eq!(RecordKind::Design.tag(), 2);
+        assert_eq!(RecordKind::parse(0), None, "tag 0 is retired");
+        for kind in RecordKind::ALL {
+            assert_eq!(RecordKind::parse(kind.tag()), Some(kind));
+        }
     }
 
     #[test]

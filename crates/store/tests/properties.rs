@@ -1,23 +1,28 @@
-//! Property-based tests for the design store and the binary codec.
+//! Property-based tests for the design store and the binary codecs.
 //!
-//! Three invariants from the issue:
+//! Invariants:
 //!
-//! * put/get over random CDFGs is identity (through the binary `Value`
-//!   encoding used by the serve tier),
+//! * put/get over random CDFGs is identity (through the compact design
+//!   encoding the serve tier stores),
+//! * the compact design codec round-trips the golden corpus and the
+//!   generators to the same canonical text, and a truncated or
+//!   bit-flipped design record decodes to a typed error or a valid graph,
+//!   never a panic,
 //! * reopening after truncating a segment at an *arbitrary* byte offset
 //!   never panics and serves exactly the records before the cut,
 //! * `compact` preserves the live key set byte-identically.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
 use localwm_cdfg::generators::{layered, random_dag, LayeredConfig};
-use localwm_cdfg::{write_cdfg, Cdfg};
+use localwm_cdfg::{parse_cdfg, read_cdfg_binary, write_cdfg, write_cdfg_binary, Cdfg};
+use localwm_prng::SplitMix64;
 use localwm_store::binval::{decode_value, value_to_bytes};
 use localwm_store::segment::segment_file_name;
 use localwm_store::{DesignStore, RecordKind, StoreConfig};
 use proptest::prelude::*;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 fn tmp_dir(tag: &str, case: u64) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -40,7 +45,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A random design stored as its binary `Value` encoding comes back as
+    /// A random design stored as its compact binary encoding comes back as
     /// the identical graph: same canonical text, same structure.
     #[test]
     fn put_get_over_random_cdfgs_is_identity(ops in 2usize..48, seed in 0u64..5000) {
@@ -52,14 +57,14 @@ proptest! {
         });
         let text = write_cdfg(&g);
         let key = fnv1a(text.as_bytes());
-        let payload = value_to_bytes(&g.to_value());
+        let payload = write_cdfg_binary(&g);
 
         let dir = tmp_dir("identity", seed ^ ops as u64);
         let store = DesignStore::open(&dir).unwrap();
         prop_assert!(store.put(RecordKind::Design, key, &payload).unwrap());
         let back = store.get(RecordKind::Design, key).unwrap().unwrap();
         prop_assert_eq!(&back, &payload, "stored bytes are served verbatim");
-        let decoded = Cdfg::from_value(&decode_value(&back).unwrap()).unwrap();
+        let decoded = read_cdfg_binary(&back).unwrap();
         prop_assert_eq!(write_cdfg(&decoded), text, "decoded graph is the same design");
         // And the identity survives a reopen from disk.
         drop(store);
@@ -68,7 +73,34 @@ proptest! {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// The binary codec round-trips arbitrary DAG serializations exactly,
+    /// The compact design codec round-trips generated designs — layered
+    /// (named nodes) and random DAGs (anonymous nodes) — to the same
+    /// canonical text. A generated graph that fails validation (random
+    /// DAGs need not respect operand arity) fails to decode with the same
+    /// error, because the reader validates.
+    #[test]
+    fn compact_codec_round_trips_generated_designs(
+        n in 2usize..60,
+        p in 0.0f64..0.5,
+        seed in 0u64..5000,
+    ) {
+        let dag = random_dag(n, p, seed);
+        let layered = layered(&LayeredConfig {
+            ops: n,
+            layers: (n / 5).max(1),
+            seed,
+            ..Default::default()
+        });
+        for g in [dag, layered] {
+            let decoded = read_cdfg_binary(&write_cdfg_binary(&g));
+            match g.validate() {
+                Ok(()) => prop_assert_eq!(write_cdfg(&decoded.unwrap()), write_cdfg(&g)),
+                Err(e) => prop_assert_eq!(decoded.unwrap_err(), e),
+            }
+        }
+    }
+
+    /// The binary value codec round-trips arbitrary DAG serializations exactly,
     /// and re-rendering the decoded tree as JSON reproduces the original
     /// JSON byte-for-byte (the decode-equivalence the wire lane relies on).
     #[test]
@@ -174,5 +206,80 @@ proptest! {
             );
         }
         fs::remove_dir_all(&dir).unwrap();
+    }
+}
+
+/// The golden corpus designs, parsed from `corpus/designs/`.
+fn corpus_designs() -> Vec<(String, Cdfg)> {
+    let dir = Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/designs");
+    let mut out: Vec<(String, Cdfg)> = fs::read_dir(&dir)
+        .expect("corpus/designs exists")
+        .map(|entry| {
+            let path = entry.expect("dir entry").path();
+            let text = fs::read_to_string(&path).expect("corpus design is UTF-8");
+            let name = path
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, parse_cdfg(&text).expect("corpus design parses"))
+        })
+        .collect();
+    out.sort_by(|a, b| a.0.cmp(&b.0));
+    assert!(!out.is_empty(), "corpus/designs is empty");
+    out
+}
+
+#[test]
+fn compact_codec_round_trips_the_golden_corpus() {
+    for (name, g) in corpus_designs() {
+        let bytes = write_cdfg_binary(&g);
+        let back = read_cdfg_binary(&bytes).unwrap_or_else(|e| panic!("{name}: {e}"));
+        assert_eq!(write_cdfg(&back), write_cdfg(&g), "{name}");
+        assert_eq!(
+            write_cdfg_binary(&back),
+            bytes,
+            "{name}: re-encoding is stable"
+        );
+    }
+}
+
+/// A decode of damaged bytes must end in a typed error or a graph that
+/// carries `parse_cdfg`'s guarantees; a panic fails the test. (A flip can
+/// make a node anonymous, and the text format names anonymous nodes
+/// `n<i>`, which may collide with a real name; only fully named graphs
+/// must re-parse from their text.)
+fn assert_typed_or_valid(bytes: &[u8], what: &str) {
+    if let Ok(g) = read_cdfg_binary(bytes) {
+        assert!(g.validate().is_ok(), "{what}: decoded graph is invalid");
+        if g.node_ids().all(|n| g.node_name(n).is_some()) {
+            let text = write_cdfg(&g);
+            let reparsed = parse_cdfg(&text).unwrap_or_else(|e| panic!("{what}: {e}"));
+            assert_eq!(write_cdfg(&reparsed), text, "{what}");
+        }
+    }
+}
+
+/// Every corpus record truncated at every length, then seeded byte flips:
+/// each mutant decodes to a typed error or a valid graph.
+#[test]
+fn mutated_corpus_records_decode_to_typed_errors_or_valid_graphs() {
+    let mut rng = SplitMix64::new(0x5EED_C0DE);
+    for (name, g) in corpus_designs() {
+        let bytes = write_cdfg_binary(&g);
+        for len in 0..bytes.len() {
+            assert!(
+                read_cdfg_binary(&bytes[..len]).is_err(),
+                "{name}: a strict prefix of {len} bytes decoded"
+            );
+        }
+        for round in 0..300 {
+            let mut mutant = bytes.clone();
+            for _ in 0..1 + rng.next_u64() % 3 {
+                let at = (rng.next_u64() % mutant.len() as u64) as usize;
+                mutant[at] ^= 1 + (rng.next_u64() % 255) as u8;
+            }
+            assert_typed_or_valid(&mutant, &format!("{name} flip round {round}"));
+        }
     }
 }

@@ -10,16 +10,20 @@
 //! * A `--store-dir` server restarted over the same directory answers the
 //!   full golden corpus byte-identically to its first life — and to the
 //!   in-process reference — without writing a single new record (every
-//!   design comes off disk, not from a reparse).
+//!   design comes off disk, not from a reparse). A directory written in
+//!   the retired design-record format answers correctly too.
 
 use std::time::Duration;
 
-use localwm_engine::Parallelism;
+use localwm_cdfg::parse_cdfg;
+use localwm_engine::{DesignContext, Parallelism};
 use localwm_serve::{Client, Request, RequestKind, ServeConfig};
+use localwm_store::binval::{fnv1a, value_to_bytes};
+use localwm_store::segment::Segment;
 use localwm_store::{DesignStore, RecordKind, StoreConfig};
 use localwm_testkit::corpus;
 use localwm_testkit::oracle::inproc_lines;
-use serde::Value;
+use serde::{Serialize, Value};
 
 fn tmp_dir(tag: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -109,6 +113,75 @@ fn warm_restarted_server_answers_the_corpus_byte_identically() {
         0,
         "clean shutdown, clean open"
     );
+    handle.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A store directory written before design records moved to the compact
+/// encoding still answers correctly. Its design records (tag 0, payload a
+/// `binval`-encoded `Value` tree) are never decoded: life 1 parses each
+/// design once and writes the new record through — its alias records
+/// already exist — and life 2 serves every design from disk.
+#[test]
+fn old_format_store_dir_is_reparsed_once_then_served_from_disk() {
+    const OLD_DESIGN_TAG: u8 = 0;
+    let dir = tmp_dir("old-format");
+    let cases = corpus::builtin_cases();
+    let requests = corpus::corpus_requests(&cases);
+    let reference = inproc_lines(&requests, 8, Parallelism::Serial);
+
+    std::fs::create_dir_all(&dir).expect("store dir");
+    let mut seg = Segment::create(&dir, 0).expect("segment");
+    for case in &cases {
+        let graph = parse_cdfg(&case.design).expect("corpus design parses");
+        let hash = DesignContext::new(graph.clone()).content_hash();
+        let design = value_to_bytes(&graph.to_value());
+        seg.append_bytes(&Segment::encode_record(OLD_DESIGN_TAG, hash, &design))
+            .expect("append design");
+        let alias = Segment::encode_record(
+            RecordKind::Alias.tag(),
+            fnv1a(case.design.as_bytes()),
+            &hash.to_le_bytes(),
+        );
+        seg.append_bytes(&alias).expect("append alias");
+    }
+    drop(seg);
+
+    let stats = |addr: &str| {
+        let mut client = Client::connect_within(addr, Duration::from_secs(5)).expect("connect");
+        let stats = client
+            .call(&Request::new(RequestKind::Stats))
+            .expect("stats");
+        stats.result_field("store").expect("store block").clone()
+    };
+    let designs = cases.len() as i64;
+
+    let handle = store_server(&dir);
+    let addr = handle.addr().to_string();
+    assert_eq!(
+        run_corpus(&addr, &requests),
+        reference,
+        "life 1 over the old dir matches a storeless server"
+    );
+    let store = stats(&addr);
+    assert_eq!(
+        counter(&store, "puts"),
+        designs,
+        "one new design record per design; the aliases were already there"
+    );
+    assert_eq!(counter(&store, "records"), 3 * designs);
+    handle.shutdown();
+
+    let handle = store_server(&dir);
+    let addr = handle.addr().to_string();
+    assert_eq!(
+        run_corpus(&addr, &requests),
+        reference,
+        "life 2 matches too"
+    );
+    let store = stats(&addr);
+    assert_eq!(counter(&store, "puts"), 0, "life 2 wrote nothing");
+    assert!(counter(&store, "hits") > 0, "life 2 served from the store");
     handle.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }
