@@ -156,26 +156,30 @@ fn resolve_threads() -> usize {
 
 /// The pool handle, starting the workers on first call.
 fn pool() -> &'static Pool {
-    POOL.get_or_init(|| {
-        let threads = resolve_threads();
-        let p: &'static Pool = Box::leak(Box::new(Pool {
-            registry: Mutex::new(Vec::new()),
-            work: Condvar::new(),
-            threads,
-            next_scan: AtomicUsize::new(0),
-            jobs: AtomicU64::new(0),
-            park_wakeups: AtomicU64::new(0),
-            steals: AtomicU64::new(0),
-            cross_batch_steals: AtomicU64::new(0),
-        }));
-        for i in 0..threads {
-            std::thread::Builder::new()
-                .name(format!("localwm-pool-{i}"))
-                .spawn(move || worker_loop(p))
-                .expect("spawn pool worker");
-        }
-        p
-    })
+    POOL.get_or_init(|| start_pool(resolve_threads()))
+}
+
+/// Starts a pool with `threads` workers. The process-wide one is started
+/// once by [`pool`]; tests start private ones to observe a registry no
+/// other test's batches touch.
+fn start_pool(threads: usize) -> &'static Pool {
+    let p: &'static Pool = Box::leak(Box::new(Pool {
+        registry: Mutex::new(Vec::new()),
+        work: Condvar::new(),
+        threads,
+        next_scan: AtomicUsize::new(0),
+        jobs: AtomicU64::new(0),
+        park_wakeups: AtomicU64::new(0),
+        steals: AtomicU64::new(0),
+        cross_batch_steals: AtomicU64::new(0),
+    }));
+    for i in 0..threads {
+        std::thread::Builder::new()
+            .name(format!("localwm-pool-{i}"))
+            .spawn(move || worker_loop(p))
+            .expect("spawn pool worker");
+    }
+    p
 }
 
 /// Activity counters of the shared pool. Zero if no batch was ever
@@ -283,6 +287,15 @@ where
     I: IntoIterator<Item = J>,
     J: FnOnce() + Send + 'scope,
 {
+    run_batch_in(pool(), jobs);
+}
+
+/// [`run_batch`] on an explicit pool.
+fn run_batch_in<'scope, I, J>(pool: &'static Pool, jobs: I)
+where
+    I: IntoIterator<Item = J>,
+    J: FnOnce() + Send + 'scope,
+{
     let mut queued: Vec<Job> = jobs
         .into_iter()
         .map(|j| erase(Box::new(j) as Box<dyn FnOnce() + Send + 'scope>))
@@ -303,7 +316,6 @@ where
         let mut st = bq.state.lock().expect("batch lock");
         st.remaining = 1 + bq.jobs.lock().expect("batch queue lock").len();
     }
-    let pool = pool();
     let registered = !bq.jobs.lock().expect("batch queue lock").is_empty();
     if registered {
         let mut reg = pool.registry.lock().expect("pool registry lock");
@@ -447,14 +459,19 @@ mod tests {
         }
     }
 
+    /// Runs on a private pool: the process-wide registry is shared with
+    /// every sibling test's in-flight batches, so only a registry this
+    /// test alone submits to can be expected to be empty afterwards.
     #[test]
     fn registry_is_empty_once_batches_complete() {
-        run_batch((0..16).map(|_| || {}));
-        if let Some(p) = POOL.get() {
+        let pool = start_pool(2);
+        for _ in 0..8 {
+            run_batch_in(pool, (0..16).map(|_| || {}));
             assert!(
-                p.registry.lock().expect("registry lock").is_empty(),
+                pool.registry.lock().expect("registry lock").is_empty(),
                 "completed batches must deregister"
             );
         }
+        assert_eq!(pool.jobs.load(Ordering::Relaxed), 8 * 16);
     }
 }

@@ -40,8 +40,10 @@ use std::time::{Duration, Instant};
 
 use localwm_cdfg::parse_cdfg;
 use localwm_engine::DesignContext;
+use localwm_serve::server::wake_acceptor;
 use localwm_serve::{
-    ErrorCode, Metrics, Outcome, Request, RequestKind, Response, ServiceError, BINARY_MAGIC,
+    text_key, ErrorCode, Metrics, Outcome, Request, RequestKind, Response, ServiceError,
+    BINARY_MAGIC,
 };
 use localwm_store::binval::{decode_value, read_frame, value_to_bytes, write_frame};
 use serde::{Serialize, Value};
@@ -145,8 +147,8 @@ struct Shared {
     cfg: GatewayConfig,
     backends: Vec<Arc<Backend>>,
     names: Vec<String>,
-    /// text-FNV → content-hash shard-key memo, so repeated designs skip
-    /// the parse on the routing path.
+    /// [`text_key`] → shard-key memo, so repeated designs skip the parse
+    /// on the routing path.
     key_memo: Mutex<HashMap<u64, u64>>,
     /// Gateway-side per-kind latency (client-observed, includes failover).
     metrics: Metrics,
@@ -164,6 +166,9 @@ struct Shared {
     binary_requests: AtomicU64,
     shutting_down: AtomicBool,
     stopped: AtomicBool,
+    /// The bound listener address, which [`stop`] connects to once to wake
+    /// the blocking acceptor.
+    addr: SocketAddr,
     routes: Mutex<Vec<RouteRecord>>,
 }
 
@@ -173,10 +178,13 @@ impl Shared {
     /// Requests carrying a design hash to that design's
     /// [`DesignContext::content_hash`] — the *canonical* hash, so two
     /// spellings of the same design land on the same shard and hit the
-    /// same backend's context cache. A raw text FNV memoizes the mapping;
-    /// unparseable designs fall back to the text FNV (the backend will
-    /// produce the error either way, deterministically). Design-free
-    /// requests spread by kind and id.
+    /// same backend's context cache. The design text's in-memory
+    /// [`text_key`] memoizes the mapping; unparseable designs fall back to
+    /// the text's FNV-1a (the backend will produce the error either way,
+    /// deterministically). Design-free requests spread by kind and id.
+    ///
+    /// Computed once per request: the burst relay hands the key to
+    /// [`Shared::route`] and [`Shared::route_group`] with the request.
     ///
     /// Session-scoped requests override all of that: they hash the session
     /// id alone, so `open`, every `mutate`/`timing`/`analyze` carrying the
@@ -192,13 +200,13 @@ impl Shared {
         let Some(text) = &req.design else {
             return rendezvous::fnv1a(req.kind.as_str().as_bytes()) ^ req.id.unwrap_or(0);
         };
-        let alias = rendezvous::fnv1a(text.as_bytes());
+        let alias = text_key(text);
         if let Some(&key) = self.key_memo.lock().expect("memo lock").get(&alias) {
             return key;
         }
         let key = match parse_cdfg(text) {
             Ok(graph) => DesignContext::new(graph).content_hash(),
-            Err(_) => alias,
+            Err(_) => rendezvous::fnv1a(text.as_bytes()),
         };
         let mut memo = self.key_memo.lock().expect("memo lock");
         if memo.len() >= KEY_MEMO_CAP {
@@ -229,13 +237,13 @@ impl Shared {
         ordered
     }
 
-    /// Routes one data request: forwards `raw` verbatim through the
-    /// failover state machine and returns the raw response line to relay
-    /// (upstream bytes untouched, or a locally-built typed error once
-    /// every replica is exhausted).
-    fn route(&self, raw: &str, req: &Request) -> String {
+    /// Routes one data request with shard key `key` (its
+    /// [`Shared::shard_key`]): forwards `raw` verbatim through the failover
+    /// state machine and returns the raw response line to relay (upstream
+    /// bytes untouched, or a locally-built typed error once every replica
+    /// is exhausted).
+    fn route(&self, raw: &str, req: &Request, key: u64) -> String {
         let started = Instant::now();
-        let key = self.shard_key(req);
         let candidates = self.candidates(key);
         let timeout = Duration::from_millis(self.cfg.recv_timeout_ms);
         let mut attempts_total: u64 = 0;
@@ -357,7 +365,7 @@ impl Shared {
                         if is_drain_refusal(&resp) {
                             // The backend declined the work; the per-request
                             // machinery fails over past it.
-                            return self.route(line, req);
+                            return self.route(line, req, *key);
                         }
                         let ok = resp.contains("\"ok\":true");
                         backend.record_served(req.kind, started.elapsed(), ok);
@@ -386,7 +394,7 @@ impl Shared {
                     .fetch_add(items.len() as u64, Ordering::SeqCst);
                 items
                     .iter()
-                    .map(|(line, req, _)| self.route(line, req))
+                    .map(|(line, req, key)| self.route(line, req, *key))
                     .collect()
             }
         }
@@ -649,7 +657,7 @@ impl GatewayHandle {
     /// in-flight routing to finish, stops every thread.
     pub fn shutdown(self) {
         drain(&self.shared);
-        self.shared.stopped.store(true, Ordering::SeqCst);
+        stop(&self.shared);
         self.join();
     }
 
@@ -706,7 +714,6 @@ pub fn start(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         }
     }
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let backends: Vec<Arc<Backend>> = cfg
         .backends
@@ -730,6 +737,7 @@ pub fn start(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
         binary_requests: AtomicU64::new(0),
         shutting_down: AtomicBool::new(false),
         stopped: AtomicBool::new(false),
+        addr,
         routes: Mutex::new(Vec::new()),
         cfg,
     });
@@ -760,9 +768,14 @@ pub fn start(cfg: GatewayConfig) -> io::Result<GatewayHandle> {
     })
 }
 
+/// Accepts connections with a blocking `accept`; [`stop`] wakes it.
 fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stopped.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stopped.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
                 // Detached, like serve's readers: a conn thread exits on
@@ -772,11 +785,17 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     .name("localwm-gw-conn".to_owned())
                     .spawn(move || conn_loop(&shared, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Transient failures: back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
+    }
+}
+
+/// Raises the stop flag and, the first time, wakes the blocked acceptor.
+/// Every stop of the gateway goes through here.
+fn stop(shared: &Shared) {
+    if !shared.stopped.swap(true, Ordering::SeqCst) {
+        wake_acceptor(shared.addr);
     }
 }
 
@@ -842,7 +861,7 @@ fn answer_parsed(shared: &Arc<Shared>, line: &str, req: &Request) -> (String, bo
                 return (resp.to_line(), false);
             }
             shared.inflight.fetch_add(1, Ordering::SeqCst);
-            let resp_line = shared.route(line, req);
+            let resp_line = shared.route(line, req, shared.shard_key(req));
             shared.inflight.fetch_sub(1, Ordering::SeqCst);
             (resp_line, false)
         }
@@ -871,9 +890,16 @@ fn is_data_kind(kind: RequestKind) -> bool {
 /// dropped, exactly as the lockstep loop never reads past one.
 fn answer_burst(shared: &Arc<Shared>, burst: &[String]) -> (Vec<String>, bool) {
     let mut out = Vec::with_capacity(burst.len());
+    // Each line is decoded, and each data request keyed, exactly once: the
+    // line that ends a run is carried over as the head of the next one,
+    // with its shard key when it has one.
+    let mut carried: Option<(Result<Request, String>, Option<u64>)> = None;
     let mut i = 0;
     while i < burst.len() {
-        let req = match Request::from_line(&burst[i]) {
+        let (decoded, known_key) = carried
+            .take()
+            .unwrap_or_else(|| (Request::from_line(&burst[i]), None));
+        let req = match decoded {
             Ok(req) => req,
             Err(msg) => {
                 out.push(bad_request_line(msg));
@@ -892,29 +918,32 @@ fn answer_burst(shared: &Arc<Shared>, burst: &[String]) -> (Vec<String>, bool) {
         }
         // The maximal run of data requests sharing this request's primary
         // backend; each keeps its own shard key for records and fallback.
-        let key = shared.shard_key(&req);
+        let key = known_key.unwrap_or_else(|| shared.shard_key(&req));
         let primary = shared.candidates(key)[0];
         let mut items: Vec<(&str, Request, u64)> = vec![(burst[i].as_str(), req, key)];
         let mut j = i + 1;
         while j < burst.len() {
-            let Ok(next) = Request::from_line(&burst[j]) else {
-                break;
-            };
-            if !is_data_kind(next.kind) {
-                break;
+            match Request::from_line(&burst[j]) {
+                Ok(next) if is_data_kind(next.kind) => {
+                    let next_key = shared.shard_key(&next);
+                    if shared.candidates(next_key)[0] != primary {
+                        carried = Some((Ok(next), Some(next_key)));
+                        break;
+                    }
+                    items.push((burst[j].as_str(), next, next_key));
+                    j += 1;
+                }
+                other => {
+                    carried = Some((other, None));
+                    break;
+                }
             }
-            let next_key = shared.shard_key(&next);
-            if shared.candidates(next_key)[0] != primary {
-                break;
-            }
-            items.push((burst[j].as_str(), next, next_key));
-            j += 1;
         }
         shared
             .inflight
             .fetch_add(items.len() as u64, Ordering::SeqCst);
-        if let [(line, req, _)] = items.as_slice() {
-            out.push(shared.route(line, req));
+        if let [(line, req, key)] = items.as_slice() {
+            out.push(shared.route(line, req, *key));
         } else {
             out.extend(shared.route_group(primary, &items));
         }
@@ -992,7 +1021,7 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
         shared
             .json_requests
             .fetch_add(burst.len() as u64, Ordering::SeqCst);
-        let (responses, stop) = answer_burst(shared, &burst);
+        let (responses, stop_requested) = answer_burst(shared, &burst);
         out_buf.clear();
         for resp in &responses {
             out_buf.extend_from_slice(resp.as_bytes());
@@ -1002,8 +1031,8 @@ fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
         let _ = write_half
             .write_all(&out_buf)
             .and_then(|()| write_half.flush());
-        if stop {
-            shared.stopped.store(true, Ordering::SeqCst);
+        if stop_requested {
+            stop(shared);
             break;
         }
         if shared.stopped.load(Ordering::SeqCst) {
@@ -1046,10 +1075,10 @@ fn binary_conn_loop(
                 continue;
             }
         };
-        let (resp_line, stop) = answer_line(shared, &line);
+        let (resp_line, stop_requested) = answer_line(shared, &line);
         send_frame(write_half, &resp_line);
-        if stop {
-            shared.stopped.store(true, Ordering::SeqCst);
+        if stop_requested {
+            stop(shared);
             break;
         }
         if shared.stopped.load(Ordering::SeqCst) {

@@ -16,13 +16,13 @@
 //! exactly one shard for the cache's lifetime, and the total capacity is
 //! split across shards exactly (no shard padding — the split sums to the
 //! configured capacity, and eviction is LRU *within* the design's shard).
-//! Text aliases (FNV of raw request bytes → content key) live in a
-//! parallel set of alias shards keyed by the *text* hash, so the
-//! byte-identical-resend fast path is also one shard lock. No operation
-//! ever holds two shard locks at once; an alias observed between an
-//! entry's eviction and the deferred alias cleanup is harmless because an
-//! alias hit always re-checks the entry shard — a dangling alias can
-//! cause a (correct) miss, never a stale hit.
+//! Text aliases ([`text_key`] of the raw request bytes → content key) live
+//! in a parallel set of alias shards keyed by that text key, so the
+//! byte-identical-resend fast path is one fast hash and one alias shard
+//! lock. No operation ever holds two shard locks at once; an alias
+//! observed between an entry's eviction and the deferred alias cleanup is
+//! harmless because an alias hit always re-checks the entry shard — a
+//! dangling alias can cause a (correct) miss, never a stale hit.
 //!
 //! Aggregate counters are sums over shards, so the chaos invariant
 //! `evictions == misses − entries` holds per shard *and* in aggregate.
@@ -33,7 +33,9 @@
 //! the text parser), and a true miss parses the text then writes the
 //! design and its alias through to disk. A restarted replica therefore
 //! warm-starts: its first request per design costs a binary decode, not a
-//! parse.
+//! parse. The store's alias records are keyed by FNV-1a of the text, not
+//! by the in-memory text key, so directories written by earlier versions
+//! keep serving; that FNV-1a is computed only when the store is consulted.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,6 +45,8 @@ use localwm_cdfg::{parse_cdfg, read_cdfg_binary, write_cdfg_binary, Cdfg};
 use localwm_engine::DesignContext;
 use localwm_store::{DesignStore, RecordKind};
 
+use crate::textkey::text_key;
+
 /// Default shard count, capped by the capacity so every shard can hold at
 /// least one design.
 const DEFAULT_SHARDS: usize = 8;
@@ -50,8 +54,8 @@ const DEFAULT_SHARDS: usize = 8;
 struct Entry {
     ctx: Arc<DesignContext>,
     last_used: u64,
-    /// Request-text FNV aliases pointing at this entry, cleaned from the
-    /// alias shards when the entry is evicted.
+    /// Text keys of the request texts aliased to this entry, cleaned from
+    /// the alias shards when the entry is evicted.
     aliases: Vec<u64>,
 }
 
@@ -95,6 +99,7 @@ impl Shard {
     }
 }
 
+/// FNV-1a of the text: the store's alias record key (stable on disk).
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
@@ -108,8 +113,8 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 pub struct ContextCache {
     /// Content shards, indexed by [`ContextCache::shard_of`].
     shards: Vec<Shard>,
-    /// Alias shards (text hash → content key), indexed by the same mix of
-    /// the *text* hash.
+    /// Alias shards (text key → content key), indexed by the same mix of
+    /// the text key.
     alias_shards: Vec<Mutex<HashMap<u64, u64>>>,
     capacity: usize,
     store: Option<Arc<DesignStore>>,
@@ -132,8 +137,8 @@ pub struct CacheStats {
 }
 
 /// The shard index a key maps to among `shards`: one SplitMix64 draw over
-/// the key so FNV's weak low bits don't bias placement, reduced mod the
-/// shard count. Pure — no state, no randomness.
+/// the key so weak low bits don't bias placement, reduced mod the shard
+/// count. Pure — no state, no randomness.
 fn shard_index(key: u64, shards: usize) -> usize {
     (localwm_prng::SplitMix64::new(key).next_u64() % shards as u64) as usize
 }
@@ -199,20 +204,35 @@ impl ContextCache {
     /// Returns the shared context for the raw CDFG `text`.
     ///
     /// Byte-identical text seen before takes the alias fast path: no parse,
-    /// no canonicalization, just a hash of the request bytes (one alias
-    /// shard lock + one entry shard lock). With a store mounted, an
-    /// in-memory miss next tries the durable tier — alias record to content
-    /// hash to binary design record, decoded without the text parser. Only
-    /// a true miss parses the text, and its design and alias are then
-    /// written through to the store. Novel text always resolves through the
-    /// canonical content hash, so two different spellings of the same
-    /// design still share one context.
+    /// no canonicalization, just the [`text_key`] of the request bytes (one
+    /// alias shard lock + one entry shard lock). With a store mounted, an
+    /// in-memory miss next tries the durable tier — alias record (keyed by
+    /// FNV-1a of the text) to content hash to binary design record, decoded
+    /// without the text parser. Only a true miss parses the text, and its
+    /// design and alias are then written through to the store. Novel text
+    /// always resolves through the canonical content hash, so two different
+    /// spellings of the same design still share one context.
     ///
     /// # Errors
     ///
     /// Returns the parse error message for malformed text (never cached).
     pub fn get_or_parse(&self, text: &str) -> Result<Arc<DesignContext>, String> {
-        let text_key = fnv1a(text.as_bytes());
+        self.get_or_parse_keyed(text, text_key(text))
+    }
+
+    /// [`ContextCache::get_or_parse`] for a caller that already holds
+    /// `text_key(text)` (the server computes it once per request for the
+    /// single-flight key too).
+    ///
+    /// # Errors
+    ///
+    /// Same as [`ContextCache::get_or_parse`].
+    pub fn get_or_parse_keyed(
+        &self,
+        text: &str,
+        text_key: u64,
+    ) -> Result<Arc<DesignContext>, String> {
+        debug_assert_eq!(text_key, crate::textkey::text_key(text));
         let aliased = {
             let map = self.alias_shard(text_key).lock().expect("alias shard lock");
             map.get(&text_key).copied()
@@ -235,15 +255,19 @@ impl ContextCache {
                 map.remove(&text_key);
             }
         }
-        if let Some(store) = &self.store {
-            if let Some(ctx) = load_from_store(store, text_key) {
+        let store_alias = self
+            .store
+            .as_ref()
+            .map(|store| (store, fnv1a(text.as_bytes())));
+        if let Some((store, alias)) = store_alias {
+            if let Some(ctx) = load_from_store(store, alias) {
                 return Ok(self.insert_ctx(ctx, Some(text_key)));
             }
         }
         let graph = parse_cdfg(text).map_err(|e| e.to_string())?;
         let fresh = DesignContext::new(graph);
-        if let Some(store) = &self.store {
-            write_through(store, &fresh, text_key);
+        if let Some((store, alias)) = store_alias {
+            write_through(store, &fresh, alias);
         }
         Ok(self.insert_ctx(fresh, Some(text_key)))
     }
@@ -360,30 +384,32 @@ impl ContextCache {
     }
 }
 
-/// Resolves `text_key` through the store tier: alias record → content
-/// hash → design record → decoded graph, hydrated with its known hash.
-/// Any miss or corruption returns `None` (the caller falls back to
-/// parsing; corrupt reads are already counted in the store's stats).
-fn load_from_store(store: &DesignStore, text_key: u64) -> Option<DesignContext> {
-    let alias = store.get(RecordKind::Alias, text_key).ok()??;
+/// Resolves the text's store alias key (its FNV-1a) through the store
+/// tier: alias record → content hash → design record → decoded graph,
+/// hydrated with its known hash. Any miss or corruption returns `None`
+/// (the caller falls back to parsing; corrupt reads are already counted in
+/// the store's stats).
+fn load_from_store(store: &DesignStore, alias_key: u64) -> Option<DesignContext> {
+    let alias = store.get(RecordKind::Alias, alias_key).ok()??;
     let hash = u64::from_le_bytes(alias.try_into().ok()?);
     let bytes = store.get(RecordKind::Design, hash).ok()??;
     let graph = read_cdfg_binary(&bytes).ok()?;
     Some(DesignContext::from_stored(graph, hash))
 }
 
-/// Writes a freshly parsed design and its text alias through to the
-/// store. Write failures degrade the durability tier, not the request:
-/// they are logged and the parse result is served normally.
-fn write_through(store: &DesignStore, fresh: &DesignContext, text_key: u64) {
+/// Writes a freshly parsed design and its text alias (keyed by the text's
+/// FNV-1a) through to the store. Write failures degrade the durability
+/// tier, not the request: they are logged and the parse result is served
+/// normally.
+fn write_through(store: &DesignStore, fresh: &DesignContext, alias_key: u64) {
     let hash = fresh.content_hash();
     let design = write_cdfg_binary(fresh.graph());
     if let Err(e) = store.put(RecordKind::Design, hash, &design) {
         eprintln!("localwm-serve: store write-through (design {hash:016x}): {e}");
         return;
     }
-    if let Err(e) = store.put(RecordKind::Alias, text_key, &hash.to_le_bytes()) {
-        eprintln!("localwm-serve: store write-through (alias {text_key:016x}): {e}");
+    if let Err(e) = store.put(RecordKind::Alias, alias_key, &hash.to_le_bytes()) {
+        eprintln!("localwm-serve: store write-through (alias {alias_key:016x}): {e}");
     }
 }
 
@@ -571,6 +597,27 @@ mod tests {
         let _ = cache2.get_or_parse(&text).unwrap();
         assert_eq!(store2.stats().hits, 2);
         assert_counter_identity(&cache2);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The store's alias records stay keyed by FNV-1a of the request text
+    /// (the key directories written before the in-memory text key existed
+    /// use), never by the in-memory key.
+    #[test]
+    fn store_alias_record_is_keyed_by_fnv1a_of_the_text() {
+        let dir = std::env::temp_dir().join(format!("localwm-cache-alias-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let text = write_cdfg(&iir4_parallel());
+        let store = Arc::new(DesignStore::open(&dir).unwrap());
+        let cache = ContextCache::with_store(4, Arc::clone(&store));
+        let ctx = cache.get_or_parse(&text).unwrap();
+        let fnv = text.bytes().fold(0xcbf2_9ce4_8422_2325_u64, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        });
+        let alias = store.get(RecordKind::Alias, fnv).unwrap();
+        assert_eq!(alias, Some(ctx.content_hash().to_le_bytes().to_vec()));
+        assert_ne!(text_key(&text), fnv);
+        assert_eq!(store.get(RecordKind::Alias, text_key(&text)).unwrap(), None);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -18,6 +18,7 @@ use serde::{object, Serialize, Value};
 
 use crate::cache::ContextCache;
 use crate::protocol::{ErrorCode, Request, RequestKind, ServiceError};
+use crate::textkey::text_key;
 
 pub(crate) type HandlerResult = Result<Value, ServiceError>;
 
@@ -25,14 +26,25 @@ pub(crate) fn bad_request(msg: impl Into<String>) -> ServiceError {
     ServiceError::new(ErrorCode::BadRequest, msg)
 }
 
+/// Where a handler resolves its design: the shared context cache, plus
+/// the design text's [`text_key`] when the caller already computed it (the
+/// server does, once per request).
+#[derive(Clone, Copy)]
+struct Designs<'a> {
+    cache: &'a ContextCache,
+    key: Option<u64>,
+}
+
 /// Resolves the request's design text through the shared context cache.
-fn design_context(cache: &ContextCache, req: &Request) -> Result<Arc<DesignContext>, ServiceError> {
+fn design_context(designs: Designs<'_>, req: &Request) -> Result<Arc<DesignContext>, ServiceError> {
     let text = req
         .design
         .as_deref()
         .ok_or_else(|| bad_request("missing `design` (CDFG text)"))?;
-    cache
-        .get_or_parse(text)
+    let key = designs.key.unwrap_or_else(|| text_key(text));
+    designs
+        .cache
+        .get_or_parse_keyed(text, key)
         .map_err(|e| bad_request(format!("bad design: {e}")))
 }
 
@@ -68,11 +80,26 @@ pub fn execute(cache: &ContextCache, req: &Request) -> HandlerResult {
 ///
 /// Same as [`execute`].
 pub fn execute_with(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
+    execute_keyed(cache, req, None, par)
+}
+
+/// [`execute_with`] for a caller that already holds the design's text key
+/// (`Some` only when the request carries a design).
+pub(crate) fn execute_keyed(
+    cache: &ContextCache,
+    req: &Request,
+    design_key: Option<u64>,
+    par: Parallelism,
+) -> HandlerResult {
+    let designs = Designs {
+        cache,
+        key: design_key,
+    };
     match req.kind {
-        RequestKind::Embed => embed(cache, req, par),
-        RequestKind::Detect => detect(cache, req, par),
-        RequestKind::Analyze => analyze(cache, req, par),
-        RequestKind::Timing => timing(cache, req),
+        RequestKind::Embed => embed(designs, req, par),
+        RequestKind::Detect => detect(designs, req, par),
+        RequestKind::Analyze => analyze(designs, req, par),
+        RequestKind::Timing => timing(designs, req),
         RequestKind::Stats | RequestKind::Shutdown | RequestKind::ClusterStats => Err(
             ServiceError::new(ErrorCode::Internal, "stats/shutdown are handled inline"),
         ),
@@ -80,8 +107,8 @@ pub fn execute_with(cache: &ContextCache, req: &Request, par: Parallelism) -> Ha
             ErrorCode::Internal,
             "session requests are handled inline by the connection thread",
         )),
-        RequestKind::Attack => attack(cache, req, par),
-        RequestKind::Strength => strength(cache, req, par),
+        RequestKind::Attack => attack(designs, req, par),
+        RequestKind::Strength => strength(designs, req, par),
     }
 }
 
@@ -122,8 +149,8 @@ fn embed_error(e: WatermarkError) -> ServiceError {
     }
 }
 
-fn embed(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
-    let ctx = design_context(cache, req)?;
+fn embed(designs: Designs<'_>, req: &Request, par: Parallelism) -> HandlerResult {
+    let ctx = design_context(designs, req)?;
     let sig = signature(req)?;
     let wm = watermarker(req);
     let emb = wm.embed_in(&ctx, &sig, par).map_err(embed_error)?;
@@ -139,8 +166,8 @@ fn embed(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult
     ]))
 }
 
-fn detect(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
-    let ctx = design_context(cache, req)?;
+fn detect(designs: Designs<'_>, req: &Request, par: Parallelism) -> HandlerResult {
+    let ctx = design_context(designs, req)?;
     let sig = signature(req)?;
     let text = req
         .schedule
@@ -161,8 +188,8 @@ fn detect(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResul
     ]))
 }
 
-fn timing(cache: &ContextCache, req: &Request) -> HandlerResult {
-    let ctx = design_context(cache, req)?;
+fn timing(designs: Designs<'_>, req: &Request) -> HandlerResult {
+    let ctx = design_context(designs, req)?;
     timing_body(&ctx, req)
 }
 
@@ -194,8 +221,8 @@ pub(crate) fn timing_body(ctx: &DesignContext, req: &Request) -> HandlerResult {
     ]))
 }
 
-fn analyze(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
-    let ctx = design_context(cache, req)?;
+fn analyze(designs: Designs<'_>, req: &Request, par: Parallelism) -> HandlerResult {
+    let ctx = design_context(designs, req)?;
     let model = bounds(req)?;
     let samples = req.samples.unwrap_or(100);
     let seed = req.seed.unwrap_or(0);
@@ -251,8 +278,8 @@ pub(crate) fn analyze_body(
     Ok(Value::Object(fields))
 }
 
-fn attack(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
-    let ctx = design_context(cache, req)?;
+fn attack(designs: Designs<'_>, req: &Request, par: Parallelism) -> HandlerResult {
+    let ctx = design_context(designs, req)?;
     let sig = signature(req)?;
     let kind_name = req.attack.as_deref().unwrap_or("reschedule");
     let kind = AttackKind::parse(kind_name)
@@ -308,8 +335,8 @@ fn parse_budgets(req: &Request) -> Result<Vec<f64>, ServiceError> {
     Ok(out)
 }
 
-fn strength(cache: &ContextCache, req: &Request, par: Parallelism) -> HandlerResult {
-    let ctx = design_context(cache, req)?;
+fn strength(designs: Designs<'_>, req: &Request, par: Parallelism) -> HandlerResult {
+    let ctx = design_context(designs, req)?;
     let sig = signature(req)?;
     let cfg = StrengthConfig {
         budgets: parse_budgets(req)?,

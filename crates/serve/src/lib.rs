@@ -32,6 +32,9 @@
 //!   on the connection thread (strict per-connection ordering), excluded
 //!   from single-flight coalescing, idle-evicted by the watchdog, and
 //!   closed by drain.
+//! * [`textkey::text_key`] — the fast in-memory key of a request text,
+//!   used by the cache's alias shards, the single-flight key and the
+//!   gateway's shard-key memo (on-disk keys stay FNV-1a).
 //! * [`client::Client`] — the blocking client used by `localwm request`,
 //!   the integration tests, and the load bench.
 //! * [`fault`] — seeded, deterministic fault injection ([`FaultPlan`] /
@@ -53,6 +56,7 @@ pub mod queue;
 pub mod server;
 pub mod session;
 pub mod singleflight;
+pub mod textkey;
 
 pub use cache::{CacheStats, ContextCache};
 pub use client::Client;
@@ -62,3 +66,4 @@ pub use protocol::{ErrorCode, Request, RequestKind, Response, ServiceError, BINA
 pub use queue::{BoundedQueue, PushError};
 pub use server::{start, ServeConfig, ServerHandle};
 pub use session::SessionState;
+pub use textkey::text_key;

@@ -22,7 +22,7 @@
 
 use std::collections::HashMap;
 use std::io::{self, IoSlice, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
+use std::net::{Ipv4Addr, Ipv6Addr, Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -41,6 +41,7 @@ use crate::metrics::{Metrics, Outcome};
 use crate::protocol::{ErrorCode, Request, RequestKind, Response, ServiceError, BINARY_MAGIC};
 use crate::queue::{BoundedQueue, PushError};
 use crate::singleflight::coalescing_key;
+use crate::textkey::text_key;
 
 /// Server configuration (the CLI's `localwm serve` flags).
 #[derive(Debug, Clone)]
@@ -394,6 +395,9 @@ struct Job {
     /// Single-flight key; `Some` only for coalescible kinds, where this job
     /// is the flight's *leader* (followers never enter the queue).
     key: Option<u64>,
+    /// The design text's [`text_key`], computed once at dispatch and
+    /// reused by the cache's alias lookup.
+    design_key: Option<u64>,
 }
 
 struct Pending {
@@ -433,6 +437,9 @@ struct Shared {
     sessions_expired: AtomicU64,
     shutting_down: AtomicBool,
     stopped: AtomicBool,
+    /// The bound listener address, which [`stop`] connects to once to wake
+    /// the blocking acceptor.
+    addr: SocketAddr,
     /// Live client sockets, keyed by a per-connection id. [`stop`] shuts
     /// every one down so detached reader threads exit promptly and peers
     /// see a closed socket — never a half-dead server that still answers.
@@ -740,7 +747,6 @@ impl ServerHandle {
 /// Propagates listener bind errors.
 pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(&cfg.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let workers = cfg.workers.max(1);
     #[cfg(feature = "fault-inject")]
@@ -782,6 +788,7 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
         sessions_expired: AtomicU64::new(0),
         shutting_down: AtomicBool::new(false),
         stopped: AtomicBool::new(false),
+        addr,
         conns: Mutex::new(HashMap::new()),
         next_conn_id: AtomicU64::new(0),
         metrics_dumped: AtomicBool::new(false),
@@ -836,9 +843,16 @@ pub fn start(cfg: ServeConfig) -> io::Result<ServerHandle> {
     })
 }
 
+/// Accepts connections with a blocking `accept`, so a new client is
+/// picked up the moment it connects; [`stop`] wakes the loop with one
+/// loopback connection ([`wake_acceptor`]) after raising the flag.
 fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
-    while !shared.stopped.load(Ordering::SeqCst) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if shared.stopped.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _)) => {
                 let shared = Arc::clone(shared);
                 // Reader threads are detached: they exit on client
@@ -847,12 +861,26 @@ fn acceptor_loop(shared: &Arc<Shared>, listener: &TcpListener) {
                     .name("localwm-conn".to_owned())
                     .spawn(move || conn_loop(&shared, stream));
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
+            // Transient failures (descriptor exhaustion, a peer that reset
+            // before the accept): back off instead of spinning.
             Err(_) => std::thread::sleep(Duration::from_millis(5)),
         }
     }
+}
+
+/// Wakes an acceptor blocked in `accept` on `addr` by connecting to it
+/// once (a wildcard bind is reached over loopback). The acceptor checks its
+/// stop flag before handling what it accepted, so the flag must be raised
+/// first; the wake connection itself is simply dropped.
+pub fn wake_acceptor(addr: SocketAddr) {
+    let mut target = addr;
+    if target.ip().is_unspecified() {
+        target.set_ip(match addr {
+            SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+            SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+        });
+    }
+    let _ = TcpStream::connect_timeout(&target, Duration::from_secs(1));
 }
 
 fn conn_loop(shared: &Arc<Shared>, stream: TcpStream) {
@@ -1108,7 +1136,10 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request, seq: u64) {
             // attaches to the leader's computation instead of queueing.
             // The leader's entry is registered here at dispatch time, so
             // requests coalesce even while the leader is still queued.
-            let key = coalescing_key(&req);
+            // One pass over the design text per request: its text key
+            // feeds both the single-flight key and the cache lookup.
+            let design_key = req.design.as_deref().map(text_key);
+            let key = coalescing_key(&req, design_key);
             if let Some(k) = key {
                 let mut inflight = shared.inflight_shard(k).lock().expect("inflight lock");
                 if let Some(waiters) = inflight.get_mut(&k) {
@@ -1131,6 +1162,7 @@ fn dispatch(shared: &Arc<Shared>, conn: &Arc<Conn>, req: Request, seq: u64) {
                 conn: Arc::clone(conn),
                 state,
                 key,
+                design_key,
             };
             // Injected queue-full burst: indistinguishable on the wire from
             // a genuine capacity rejection.
@@ -1360,7 +1392,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             shared.busy_workers.fetch_add(1, Ordering::SeqCst);
             shared.executed.fetch_add(1, Ordering::SeqCst);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                handlers::execute_with(&shared.cache, &job.req, shared.engine_par)
+                handlers::execute_keyed(&shared.cache, &job.req, job.design_key, shared.engine_par)
             }));
             shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
             let resp = match outcome {
@@ -1492,7 +1524,9 @@ fn drain(shared: &Arc<Shared>) -> u64 {
 /// of racing against detached reader threads that might still answer for a
 /// scheduling-dependent moment.
 fn stop(shared: &Arc<Shared>) {
-    shared.stopped.store(true, Ordering::SeqCst);
+    if !shared.stopped.swap(true, Ordering::SeqCst) {
+        wake_acceptor(shared.addr);
+    }
     shared.queue.close();
     let conns = shared.conns.lock().expect("conns lock");
     for stream in conns.values() {

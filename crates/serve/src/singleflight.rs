@@ -17,17 +17,23 @@
 //! `timeout_ms` (deadline) — excluded, so requests differing only in those
 //! still coalesce. Everything else (design text, delay bounds, sample
 //! count, seed, deadline steps) participates: any parameter that changes
-//! the answer changes the key. The hash streams straight over the field
-//! bytes — no request clone, no re-rendered wire line — because this runs
-//! on the connection reader for every analysis request. Each field is
-//! prefixed with a distinct tag and (for strings) its length, so field
-//! boundaries can never alias.
+//! the answer changes the key. No request clone, no re-rendered wire line
+//! — this runs on the connection reader for every analysis request — and
+//! no byte-at-a-time pass over the texts: each string field contributes
+//! its length and its [`text_key`], so a multi-kilobyte design costs one
+//! fast hash, which the server reuses for the cache's alias lookup. Each
+//! field is prefixed with a distinct tag, so field boundaries can never
+//! alias.
 
 use crate::protocol::{Request, RequestKind};
+use crate::textkey::text_key;
 
 /// The coalescing key of a request, or `None` for kinds that never
-/// coalesce.
-pub fn coalescing_key(req: &Request) -> Option<u64> {
+/// coalesce. `design_key` is the design's [`text_key`] (`None` exactly
+/// when the request has no design), which the caller computes once and
+/// reuses for the cache lookup.
+pub fn coalescing_key(req: &Request, design_key: Option<u64>) -> Option<u64> {
+    debug_assert_eq!(design_key, req.design.as_deref().map(text_key));
     if !matches!(
         req.kind,
         RequestKind::Analyze | RequestKind::Timing | RequestKind::Attack | RequestKind::Strength
@@ -43,7 +49,7 @@ pub fn coalescing_key(req: &Request) -> Option<u64> {
     }
     let mut h = Fnv1a::new();
     h.bytes(&[req.kind.index() as u8]);
-    h.opt_str(1, req.design.as_deref());
+    h.opt_text(1, req.design.as_deref().zip(design_key));
     h.opt_str(2, req.author.as_deref());
     h.opt_str(3, req.schedule.as_deref());
     h.opt_u64(4, req.fraction.map(f64::to_bits));
@@ -74,12 +80,18 @@ impl Fnv1a {
         }
     }
 
-    /// Absent fields hash nothing; present ones hash tag, length, bytes.
+    /// Absent fields hash nothing; present ones hash tag, length, and the
+    /// text's [`text_key`].
     fn opt_str(&mut self, tag: u8, s: Option<&str>) {
-        if let Some(s) = s {
+        self.opt_text(tag, s.map(|s| (s, text_key(s))));
+    }
+
+    /// [`Fnv1a::opt_str`] with the text key already computed.
+    fn opt_text(&mut self, tag: u8, text: Option<(&str, u64)>) {
+        if let Some((s, key)) = text {
             self.bytes(&[tag]);
             self.bytes(&(s.len() as u64).to_le_bytes());
-            self.bytes(s.as_bytes());
+            self.bytes(&key.to_le_bytes());
         }
     }
 
@@ -99,6 +111,10 @@ impl Fnv1a {
 mod tests {
     use super::*;
 
+    fn key(req: &Request) -> Option<u64> {
+        coalescing_key(req, req.design.as_deref().map(text_key))
+    }
+
     fn analyze_req() -> Request {
         let mut r = Request::new(RequestKind::Analyze);
         r.design = Some("node a add\n".to_owned());
@@ -116,8 +132,8 @@ mod tests {
         let mut b = base.clone();
         b.id = Some(2);
         b.timeout_ms = Some(9999);
-        assert_eq!(coalescing_key(&a), coalescing_key(&base));
-        assert_eq!(coalescing_key(&a), coalescing_key(&b));
+        assert_eq!(key(&a), key(&base));
+        assert_eq!(key(&a), key(&b));
     }
 
     #[test]
@@ -129,15 +145,15 @@ mod tests {
         other_samples.samples = Some(41);
         let mut other_design = base.clone();
         other_design.design = Some("node b mul\n".to_owned());
-        let k = coalescing_key(&base);
-        assert_ne!(coalescing_key(&other_seed), k);
-        assert_ne!(coalescing_key(&other_samples), k);
-        assert_ne!(coalescing_key(&other_design), k);
+        let k = key(&base);
+        assert_ne!(key(&other_seed), k);
+        assert_ne!(key(&other_samples), k);
+        assert_ne!(key(&other_design), k);
     }
 
     #[test]
     fn only_analysis_kinds_coalesce() {
-        assert!(coalescing_key(&analyze_req()).is_some());
+        assert!(key(&analyze_req()).is_some());
         for kind in [
             RequestKind::Timing,
             RequestKind::Attack,
@@ -145,7 +161,7 @@ mod tests {
         ] {
             let mut r = analyze_req();
             r.kind = kind;
-            assert!(coalescing_key(&r).is_some(), "{kind} must coalesce");
+            assert!(key(&r).is_some(), "{kind} must coalesce");
         }
         for kind in [
             RequestKind::Embed,
@@ -159,7 +175,7 @@ mod tests {
         ] {
             let mut r = analyze_req();
             r.kind = kind;
-            assert_eq!(coalescing_key(&r), None, "{kind} must not coalesce");
+            assert_eq!(key(&r), None, "{kind} must not coalesce");
         }
     }
 
@@ -167,8 +183,8 @@ mod tests {
     fn session_scoped_queries_never_coalesce() {
         let mut r = analyze_req();
         r.session = Some("s-1".to_owned());
-        assert_eq!(coalescing_key(&r), None);
+        assert_eq!(key(&r), None);
         r.kind = RequestKind::Timing;
-        assert_eq!(coalescing_key(&r), None);
+        assert_eq!(key(&r), None);
     }
 }
