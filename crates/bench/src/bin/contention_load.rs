@@ -1,14 +1,13 @@
 //! Contention scaling benchmark: request latency under 1/2/4/8 concurrent
 //! clients with all traffic aimed at one cache shard vs spread across
-//! shards, plus the SoA Monte-Carlo kernel's ns/sample against the scalar
-//! (one-lane) kernel.
+//! shards, plus the 8-lane Monte-Carlo kernel's ns/sample.
 //!
 //! Writes `BENCH_scaling.json` (or the path given with `--out`) in the
-//! shape of the other `BENCH_*.json` reports. The SoA lanes resolve their
-//! baselines by name (`engine/criticality/serial/2000`) from
-//! `BENCH_hotpath.json` — the committed pre-SoA numbers — so the report
-//! carries the vectorization win explicitly. `--quick` trims client and
-//! sample counts for the CI lane.
+//! shape of the other `BENCH_*.json` reports. The kernel lane resolves its
+//! baseline by name (`engine/criticality/serial/2000`) from the
+//! `--baseline` report (default `BENCH_hotpath.json`); point it at a
+//! report the pre-SoA kernel wrote to carry the kernel's win explicitly.
+//! `--quick` trims client and sample counts for the CI lane.
 //!
 //! On a single-core host the curve measures contention overhead (lock and
 //! coalescing behavior under interleaving), not parallel speedup; the
@@ -22,7 +21,7 @@ use localwm_cdfg::generators::{layered, mediabench, mediabench_apps, LayeredConf
 use localwm_cdfg::write_cdfg;
 use localwm_engine::{DesignContext, Parallelism};
 use localwm_serve::{Client, Request, RequestKind, ServeConfig, ServerHandle};
-use localwm_timing::{criticality_in, with_soa_lanes, KindBounds};
+use localwm_timing::{criticality_in, KindBounds};
 use serde::Value;
 
 const CLIENT_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -190,7 +189,7 @@ fn main() {
         }
     }
 
-    // ---- SoA kernel vs scalar, against the committed pre-SoA baseline ----
+    // ---- 8-lane kernel against the baseline report's serial lane ----
     let g = layered(&LayeredConfig {
         ops: SOA_OPS,
         layers: ((SOA_OPS as f64).sqrt() * 1.2) as usize,
@@ -198,24 +197,20 @@ fn main() {
     });
     let ctx = DesignContext::new(g);
     let model = KindBounds::uniform(1, 3);
-    let scalar_baseline = baselines
+    let kernel_baseline = baselines
         .iter()
         .find(|(n, _)| n == &format!("engine/criticality/serial/{SOA_OPS}"))
         .map(|&(_, b)| b);
-    for (tag, width) in [("soa-8", 8usize), ("scalar", 1)] {
-        let mean = mean_ns(soa_rounds, || {
-            with_soa_lanes(width, || {
-                criticality_in(&ctx, &model, MC_SAMPLES, 7, Parallelism::Serial)
-            })
-        });
-        lanes.push(Lane {
-            name: format!("engine/criticality/{tag}/{SOA_OPS}"),
-            mean_ns: mean,
-            samples: soa_rounds,
-            ns_per_sample: Some(mean / MC_SAMPLES as f64),
-            baseline_ns: scalar_baseline,
-        });
-    }
+    let mean = mean_ns(soa_rounds, || {
+        criticality_in(&ctx, &model, MC_SAMPLES, 7, Parallelism::Serial)
+    });
+    lanes.push(Lane {
+        name: format!("engine/criticality/soa-8/{SOA_OPS}"),
+        mean_ns: mean,
+        samples: soa_rounds,
+        ns_per_sample: Some(mean / MC_SAMPLES as f64),
+        baseline_ns: kernel_baseline,
+    });
 
     let rows: Vec<Vec<String>> = lanes
         .iter()
@@ -266,12 +261,11 @@ fn main() {
         "contention_load: {}x{per_client} analyze(samples={req_samples}) requests \
          per point, distinct seeds (no coalescing), 4 workers, cache_cap 16; \
          one-shard = every client hammers designs[0] (all cache traffic on one \
-         shard), spread = designs rotate per client; soa-8/scalar = Monte-Carlo \
+         shard), spread = designs rotate per client; soa-8 = serial Monte-Carlo \
          criticality ({MC_SAMPLES} samples, layered {SOA_OPS} ops, seed 7, \
-         {soa_rounds} rounds) at SoA lane widths 8 and 1, baseline resolved \
-         from {baseline_path} (pre-SoA serial kernel); host had {cores} CPU \
-         core(s), so multi-client points measure contention overhead, not \
-         parallel speedup",
+         {soa_rounds} rounds) through the 8-lane kernel, baseline resolved \
+         from {baseline_path}; host had {cores} CPU core(s), so client \
+         counts above {cores} measure contention overhead, not parallel speedup",
         CLIENT_COUNTS
             .iter()
             .map(|c| c.to_string())

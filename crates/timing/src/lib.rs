@@ -44,4 +44,4 @@ pub use localwm_engine::{
 };
 
 pub use incremental::CriticalityCache;
-pub use statistical::{criticality, criticality_in, with_soa_lanes, CriticalityReport};
+pub use statistical::{criticality, criticality_in, CriticalityReport};

@@ -11,21 +11,32 @@
 //! independent of how samples are fanned out across worker threads: serial
 //! and parallel sweeps are byte-identical.
 //!
-//! # The SoA kernel
+//! # The 8-lane kernel
 //!
-//! Samples are independent, so the sweep processes them `K` at a time in a
+//! Samples are independent, so the sweep times them eight at a time in a
 //! structure-of-arrays layout ([`soa_sweep`]): every per-node quantity
-//! (delay draw, finish time, tail length) is a contiguous `K`-wide lane
-//! row, and the forward/backward passes walk the memoized CSR once per
-//! *block* doing branch-free `max`/`add` over whole lane rows — the shape
-//! LLVM autovectorizes. Determinism is untouched because the lanes never
-//! interact: lane `j` of a block starting at sample `s0` draws from
-//! `sample_seed(seed, s0 + j)`, in node-index order with fixed (`lo ==
-//! hi`) intervals skipping their draw — the exact RNG stream the scalar
-//! loop used — and integer `max`/`add` have no rounding to reorder. `K =
-//! 1` *is* the scalar loop, just spelled once. A run whose sample count
-//! `K` does not divide ends with one short block that simply uses fewer
-//! lanes.
+//! (delay draw, finish time, tail length) is a `[u64; 8]` row, and the
+//! forward/backward passes walk the memoized CSR once per *block* doing
+//! branch-free `max`/`add` over whole rows with a compile-time trip count,
+//! which LLVM unrolls fully (and vectorizes on targets with 64-bit vector
+//! compares). A run whose sample count 8 does not divide ends with one
+//! short block whose dead lanes the sinks skip or mask off.
+//!
+//! Delays come from a per-run **draw plan** ([`Draw`]), resolved once per
+//! node from its interval: a fixed interval draws nothing, a power-of-two
+//! bound masks one word, any other bound runs Lemire's multiply-and-reject
+//! with its threshold precomputed, and the full `u64` span takes the raw
+//! word. That reproduces `gen_range(lo..=hi)` word for word while taking
+//! the per-draw 64-bit divide (`bound.wrapping_neg() % bound`) out of the
+//! loop. Draws fill a block node by node across eight lane generators, so
+//! the eight independent xoshiro streams overlap in the pipeline.
+//!
+//! Determinism is untouched because the lanes never interact: lane `j` of
+//! a block starting at sample `s0` draws from `sample_seed(seed, s0 + j)`
+//! in node-index order — the exact RNG stream of the historical one-sample
+//! loop — and integer `max`/`add` have no rounding to reorder. The unit
+//! tests pin both halves: the plan against `gen_range`, and the whole
+//! kernel against an independent scalar reference.
 //!
 //! The backward pass caches circuit-independent **tails** (longest delay
 //! path strictly below each node) instead of required times; a node is
@@ -35,13 +46,12 @@
 //! This is also the form the incremental cache captures, so the cache's
 //! from-scratch path reuses this kernel verbatim through a transpose sink.
 
-use std::cell::Cell;
 use std::time::Instant;
 
 use localwm_cdfg::{Cdfg, Csr, NodeId};
 use localwm_engine::{par_map, DesignContext, Parallelism};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{RngCore, SeedableRng};
 
 use crate::{DelayBounds, DelayInterval};
 
@@ -92,66 +102,103 @@ impl CriticalityReport {
     }
 }
 
-/// Lane width the SoA kernel uses unless overridden: wide enough to fill a
-/// 512-bit vector of `u64`, small enough that three `n × K` scratch rows
-/// stay cache-resident for realistic designs.
-const DEFAULT_SOA_LANES: usize = 8;
+/// Samples per block: eight `u64` lanes fill a 512-bit vector, and three
+/// `n × 8` scratch rows stay cache-resident for realistic designs.
+const LANES: usize = 8;
 
-thread_local! {
-    /// Per-thread lane-width override; `None` means [`DEFAULT_SOA_LANES`].
-    static LANE_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
+/// One node's quantity across the eight lanes of a block.
+pub(crate) type Row = [u64; LANES];
+
+/// How one node draws its delay, resolved once per run from its interval.
+/// [`Draw::sample`] reproduces `StdRng::gen_range(lo..=hi)` word for word
+/// (same result, same number of words consumed) without the per-call
+/// `bound.wrapping_neg() % bound` divide; a fixed interval draws nothing,
+/// which is the kernel's historical skip.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Draw {
+    /// `lo == hi`: no draw.
+    Fixed(u64),
+    /// Power-of-two bound: `lo + (word & mask)`.
+    Mask { lo: u64, mask: u64 },
+    /// Any other bound: Lemire's multiply-and-reject with the rejection
+    /// threshold precomputed.
+    Lemire { lo: u64, bound: u64, threshold: u64 },
+    /// The whole `u64` range: the raw word.
+    Full,
 }
 
-/// Runs `f` with the SoA kernel's lane width pinned to `lanes` **on this
-/// thread** (clamped to at least 1). The width is resolved once at each
-/// `criticality*` entry point on the calling thread and carried into its
-/// worker closures, so the override covers parallel sweeps started inside
-/// `f` even though the workers run elsewhere.
-///
-/// Lane width never changes results — every width is byte-identical (the
-/// differential oracles pin this) — only how many samples share a pass.
-/// This hook exists so tests and oracle lanes can exercise specific widths
-/// (`1` = the scalar path, a prime = perpetual tail blocks) without an
-/// environment variable racing other threads.
-pub fn with_soa_lanes<R>(lanes: usize, f: impl FnOnce() -> R) -> R {
-    let prev = LANE_OVERRIDE.with(|c| c.replace(Some(lanes.max(1))));
-    let result = f();
-    LANE_OVERRIDE.with(|c| c.set(prev));
-    result
+impl Draw {
+    /// The draw plan for one interval.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the interval is empty (`lo > hi`), as `gen_range` does.
+    fn plan(b: DelayInterval) -> Draw {
+        assert!(b.lo <= b.hi, "cannot sample empty range");
+        let span = b.hi - b.lo;
+        if span == 0 {
+            Draw::Fixed(b.lo)
+        } else if span == u64::MAX {
+            Draw::Full
+        } else if (span + 1).is_power_of_two() {
+            Draw::Mask {
+                lo: b.lo,
+                mask: span,
+            }
+        } else {
+            let bound = span + 1;
+            Draw::Lemire {
+                lo: b.lo,
+                bound,
+                threshold: bound.wrapping_neg() % bound,
+            }
+        }
+    }
+
+    /// One delay draw from `rng`.
+    #[inline]
+    fn sample(self, rng: &mut StdRng) -> u64 {
+        match self {
+            Draw::Fixed(v) => v,
+            Draw::Mask { lo, mask } => lo + (rng.next_u64() & mask),
+            Draw::Lemire {
+                lo,
+                bound,
+                threshold,
+            } => loop {
+                let wide = u128::from(rng.next_u64()) * u128::from(bound);
+                if wide as u64 >= threshold {
+                    break lo + (wide >> 64) as u64;
+                }
+            },
+            Draw::Full => rng.next_u64(),
+        }
+    }
 }
 
-/// The lane width in effect on the calling thread.
-pub(crate) fn soa_lanes() -> usize {
-    LANE_OVERRIDE
-        .with(Cell::get)
-        .unwrap_or(DEFAULT_SOA_LANES)
-        .max(1)
-}
-
-/// One finished block of the SoA sweep, handed to the sink: `k` live lanes
-/// (samples `s0 .. s0 + k`) in node-major rows of stride `lanes`. Quantity
-/// `q` of node index `v` in lane `j` sits at `q[v * lanes + j]`.
+/// One finished block of the sweep, handed to the sink: `k` live lanes
+/// (samples `s0 .. s0 + k`) of node-major rows, so quantity `q` of node
+/// index `v` in lane `j` sits at `q[v][j]`. Lanes `k ..` of a final short
+/// block hold stale but bounded values; sinks skip or mask them off.
 pub(crate) struct SoaBlock<'a> {
     /// Sample index of lane 0.
     pub s0: usize,
-    /// Live lanes in this block (`< lanes` only in a final short block).
+    /// Live lanes in this block (`< LANES` only in a final short block).
     pub k: usize,
-    /// Row stride.
-    pub lanes: usize,
     /// Delay draws.
-    pub d: &'a [u64],
+    pub d: &'a [Row],
     /// Forward finish times.
-    pub finish: &'a [u64],
+    pub finish: &'a [Row],
     /// Tail lengths (longest delay path strictly below the node).
-    pub tail: &'a [u64],
-    /// Per-lane circuit delay (max finish), indexed `0 .. k`.
-    pub circuit: &'a [u64],
+    pub tail: &'a [Row],
+    /// Per-lane circuit delay (max finish).
+    pub circuit: &'a Row,
 }
 
 /// The Monte-Carlo inner loop: times samples `lo .. hi` of the run
-/// `(seed, bounds)` in K-lane SoA blocks over the memoized CSR, calling
-/// `sink` once per block. Single source of truth for the per-sample math —
-/// the parallel sweep and the incremental cache's capture both drive it.
+/// `(seed, bounds)` in 8-lane blocks over the memoized CSR, calling `sink`
+/// once per block. Single source of truth for the per-sample math — the
+/// parallel sweep and the incremental cache's capture both drive it.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
     order: &[NodeId],
@@ -161,74 +208,64 @@ pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
     seed: u64,
     lo: usize,
     hi: usize,
-    lanes: usize,
     mut sink: F,
 ) {
     let n = order.len();
-    let mut d = vec![0u64; n * lanes];
-    let mut finish = vec![0u64; n * lanes];
-    let mut tail = vec![0u64; n * lanes];
-    let mut circuit = vec![0u64; lanes];
-    let mut acc = vec![0u64; lanes];
+    let plan: Vec<Draw> = bounds.iter().map(|&b| Draw::plan(b)).collect();
+    let mut d = vec![[0u64; LANES]; n];
+    let mut finish = vec![[0u64; LANES]; n];
+    let mut tail = vec![[0u64; LANES]; n];
     let mut s = lo;
     while s < hi {
-        let k = lanes.min(hi - s);
-        if k < lanes {
-            // Final short block: clear the dead lanes' draws so the
-            // full-width arithmetic below stays bounded (their outputs are
-            // never read).
-            d.fill(0);
-        }
-        // One RNG per live lane, draws in node-index order with fixed
-        // intervals skipping theirs — the historical per-sample stream.
-        for lane in 0..k {
-            let mut rng = StdRng::seed_from_u64(sample_seed(seed, (s + lane) as u64));
-            for (i, b) in bounds.iter().enumerate() {
-                d[i * lanes + lane] = if b.lo == b.hi {
-                    b.lo
-                } else {
-                    rng.gen_range(b.lo..=b.hi)
-                };
-            }
-        }
-        circuit.fill(0);
-        // Forward: arrivals in topo order, whole lane rows at a time.
-        for (p, &v) in order.iter().enumerate() {
-            let vi = v.index();
-            acc.fill(0);
-            for &pi in preds.row(p) {
-                let row = &finish[pi as usize * lanes..][..lanes];
-                for (a, &f) in acc.iter_mut().zip(row) {
-                    *a = (*a).max(f);
+        let k = LANES.min(hi - s);
+        // Lane `j` owns the stream of sample `s + j`. Draws go node by
+        // node across the lanes, so each stream is still consumed in
+        // node-index order — the historical per-sample sequence — while
+        // the eight generators advance independently of one another.
+        let mut rngs: [StdRng; LANES] =
+            std::array::from_fn(|j| StdRng::seed_from_u64(sample_seed(seed, (s + j) as u64)));
+        let rngs = &mut rngs[..k];
+        for (row, &draw) in d.iter_mut().zip(&plan) {
+            if let Draw::Fixed(v) = draw {
+                *row = [v; LANES];
+            } else {
+                for (slot, rng) in row.iter_mut().zip(rngs.iter_mut()) {
+                    *slot = draw.sample(rng);
                 }
             }
-            let drow = &d[vi * lanes..][..lanes];
-            let frow = &mut finish[vi * lanes..][..lanes];
-            for lane in 0..lanes {
-                let f = acc[lane] + drow[lane];
-                frow[lane] = f;
-                circuit[lane] = circuit[lane].max(f);
+        }
+        // Forward: arrivals in topo order, whole lane rows at a time.
+        let mut circuit = [0u64; LANES];
+        for (p, &v) in order.iter().enumerate() {
+            let mut acc = [0u64; LANES];
+            for &pi in preds.row(p) {
+                let row = &finish[pi as usize];
+                for j in 0..LANES {
+                    acc[j] = acc[j].max(row[j]);
+                }
             }
+            let drow = &d[v.index()];
+            for j in 0..LANES {
+                acc[j] += drow[j];
+                circuit[j] = circuit[j].max(acc[j]);
+            }
+            finish[v.index()] = acc;
         }
         // Backward: tails in reverse topo order (successor rows sit at
         // later positions, already final this block).
         for p in (0..n).rev() {
-            let vi = order[p].index();
-            acc.fill(0);
+            let mut acc = [0u64; LANES];
             for &si in succs.row(p) {
-                let si = si as usize;
-                let drow = &d[si * lanes..][..lanes];
-                let trow = &tail[si * lanes..][..lanes];
-                for ((a, &dd), &tt) in acc.iter_mut().zip(drow).zip(trow) {
-                    *a = (*a).max(dd + tt);
+                let (drow, trow) = (&d[si as usize], &tail[si as usize]);
+                for j in 0..LANES {
+                    acc[j] = acc[j].max(drow[j] + trow[j]);
                 }
             }
-            tail[vi * lanes..][..lanes].copy_from_slice(&acc);
+            tail[order[p].index()] = acc;
         }
         sink(&SoaBlock {
             s0: s,
             k,
-            lanes,
             d: &d,
             finish: &finish,
             tail: &tail,
@@ -274,10 +311,10 @@ pub fn criticality<M: DelayBounds>(
 
 /// [`criticality`] against a shared [`DesignContext`], fanning independent
 /// input vectors across scoped worker threads per `par` and timing them
-/// through the SoA block kernel ([`soa_sweep`]).
+/// through the 8-lane block kernel ([`soa_sweep`]).
 ///
 /// Per-sample seeding makes the output identical for every
-/// [`Parallelism`] choice *and* every lane width ([`with_soa_lanes`]).
+/// [`Parallelism`] choice.
 ///
 /// # Panics
 ///
@@ -300,9 +337,6 @@ pub fn criticality_in<M: DelayBounds>(
     let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
     let probe = ctx.probe();
     probe.counter("timing.criticality.samples", samples as u64);
-    // Resolved here, on the calling thread, so a `with_soa_lanes` override
-    // reaches the worker closures as a plain captured value.
-    let lanes = soa_lanes();
 
     // Contiguous sample ranges, one per worker; per-sample seeds make the
     // partitioning irrelevant to the result.
@@ -317,15 +351,15 @@ pub fn criticality_in<M: DelayBounds>(
     let parts = par_map(par, &ranges, |_, &(lo, hi)| {
         let mut hits = vec![0u64; n];
         let mut delays = Vec::with_capacity(hi - lo);
-        soa_sweep(order, preds, succs, &bounds, seed, lo, hi, lanes, |blk| {
+        soa_sweep(order, preds, succs, &bounds, seed, lo, hi, |blk| {
             // Branch-free criticality count per node: a node is critical
-            // in a lane iff finish + tail reaches that lane's circuit.
-            for (v, slot) in hits.iter_mut().enumerate() {
-                let frow = &blk.finish[v * blk.lanes..][..blk.lanes];
-                let trow = &blk.tail[v * blk.lanes..][..blk.lanes];
+            // in a lane iff finish + tail reaches that lane's circuit;
+            // `live` masks off the dead lanes of a short block.
+            let live: Row = std::array::from_fn(|j| u64::from(j < blk.k));
+            for ((slot, frow), trow) in hits.iter_mut().zip(blk.finish).zip(blk.tail) {
                 let mut hit = 0u64;
-                for lane in 0..blk.k {
-                    hit += u64::from(frow[lane] + trow[lane] == blk.circuit[lane]);
+                for j in 0..LANES {
+                    hit += u64::from(frow[j] + trow[j] == blk.circuit[j]) & live[j];
                 }
                 *slot += hit;
             }
@@ -365,9 +399,11 @@ pub(crate) fn sample_seed(seed: u64, index: u64) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{bounded_critical_path, KindBounds};
+    use crate::{bounded_critical_path, DynamicBounds, KindBounds};
     use localwm_cdfg::generators::random_dag;
     use localwm_cdfg::{Cdfg, OpKind};
+    use proptest::prelude::*;
+    use rand::Rng;
 
     #[test]
     fn fixed_delays_give_binary_criticality() {
@@ -426,44 +462,140 @@ mod tests {
         }
     }
 
-    #[test]
-    fn lane_width_never_changes_the_report() {
-        // 97 samples: K = 8 leaves a 1-lane tail block, K = 5 a 2-lane
-        // one, K = 97 a single full block, K = 1 is the scalar path.
-        let g = random_dag(40, 0.15, 13);
-        let ctx = DesignContext::from(&g);
-        let model = KindBounds::uniform(1, 4);
-        let scalar = with_soa_lanes(1, || {
-            criticality_in(&ctx, &model, 97, 17, Parallelism::Serial)
-        });
-        for lanes in [2, 5, 8, 16, 97, 200] {
-            let wide = with_soa_lanes(lanes, || {
-                criticality_in(&ctx, &model, 97, 17, Parallelism::Serial)
-            });
-            assert_eq!(scalar.delays, wide.delays, "delays differ at K={lanes}");
-            assert_eq!(
-                scalar.criticality, wide.criticality,
-                "criticality differs at K={lanes}"
-            );
+    /// The historical scalar kernel, kept as an independent oracle: one
+    /// sample at a time, delays drawn with `gen_range` straight from the
+    /// intervals (fixed ones skip their draw), adjacency read off the
+    /// graph, and criticality decided in the push form `finish ==
+    /// required` rather than through tails.
+    fn reference_criticality<M: DelayBounds>(
+        ctx: &DesignContext,
+        model: &M,
+        samples: usize,
+        seed: u64,
+    ) -> CriticalityReport {
+        let g = ctx.graph();
+        let n = g.node_count();
+        let mut hits = vec![0u64; n];
+        let mut delays = Vec::with_capacity(samples);
+        for s in 0..samples {
+            let mut rng = StdRng::seed_from_u64(sample_seed(seed, s as u64));
+            let d: Vec<u64> = g
+                .node_ids()
+                .map(|v| {
+                    let b = model.bounds(g, v);
+                    if b.lo == b.hi {
+                        b.lo
+                    } else {
+                        rng.gen_range(b.lo..=b.hi)
+                    }
+                })
+                .collect();
+            let mut finish = vec![0u64; n];
+            for &v in ctx.topo() {
+                let arrival = g.preds(v).map(|p| finish[p.index()]).max().unwrap_or(0);
+                finish[v.index()] = arrival + d[v.index()];
+            }
+            let circuit = finish.iter().copied().max().unwrap_or(0);
+            let mut required = vec![circuit; n];
+            for &v in ctx.topo().iter().rev() {
+                if let Some(r) = g.succs(v).map(|x| required[x.index()] - d[x.index()]).min() {
+                    required[v.index()] = r;
+                }
+            }
+            for v in 0..n {
+                hits[v] += u64::from(finish[v] == required[v]);
+            }
+            delays.push(circuit);
         }
-        // The default width (no override) matches too.
-        let default = criticality_in(&ctx, &model, 97, 17, Parallelism::Serial);
-        assert_eq!(scalar.delays, default.delays);
-        assert_eq!(scalar.criticality, default.criticality);
+        delays.sort_unstable();
+        CriticalityReport {
+            criticality: hits.iter().map(|&h| h as f64 / samples as f64).collect(),
+            delays,
+            samples,
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The 8-lane kernel equals the scalar reference on random CDFGs,
+        /// run seeds, and models mixing fixed, power-of-two and rejection
+        /// intervals, for every sample count up to 69 — so every 1–7-lane
+        /// tail block occurs — serial and threaded.
+        #[test]
+        fn criticality_equals_scalar_reference(
+            n in 5usize..50,
+            p in 0.05f64..0.35,
+            seed in 0u64..1000,
+            run_seed in 0u64..1000,
+            samples in 1usize..70,
+            lo in 0u64..4,
+            width in 0u64..6,
+            per_input in 0u64..3,
+        ) {
+            let ctx = DesignContext::new(random_dag(n, p, seed));
+            let model = DynamicBounds::new(KindBounds::uniform(lo, lo + width), per_input);
+            let want = reference_criticality(&ctx, &model, samples, run_seed);
+            for par in [Parallelism::Serial, Parallelism::Threads(3)] {
+                let got = criticality_in(&ctx, &model, samples, run_seed, par);
+                prop_assert_eq!(&want.delays, &got.delays, "delays differ under {:?}", par);
+                prop_assert_eq!(
+                    &want.criticality, &got.criticality,
+                    "criticality differs under {:?}", par
+                );
+            }
+        }
     }
 
     #[test]
-    fn lane_override_is_scoped_and_restored() {
-        assert_eq!(soa_lanes(), DEFAULT_SOA_LANES);
-        let inner = with_soa_lanes(3, || {
-            let nested = with_soa_lanes(5, soa_lanes);
-            assert_eq!(nested, 5);
-            soa_lanes()
-        });
-        assert_eq!(inner, 3);
-        assert_eq!(soa_lanes(), DEFAULT_SOA_LANES);
-        // Zero clamps to the scalar path instead of dividing by zero.
-        assert_eq!(with_soa_lanes(0, soa_lanes), 1);
+    fn draw_plan_reproduces_gen_range() {
+        let cases = [
+            ((5, 5), Draw::Fixed(5)),
+            ((0, 7), Draw::Mask { lo: 0, mask: 7 }),
+            ((1, 4), Draw::Mask { lo: 1, mask: 3 }),
+            (
+                (1, 3),
+                Draw::Lemire {
+                    lo: 1,
+                    bound: 3,
+                    threshold: 1,
+                },
+            ),
+            (
+                (0, 1 << 63),
+                Draw::Lemire {
+                    lo: 0,
+                    bound: (1 << 63) + 1,
+                    threshold: (1 << 63) - 1,
+                },
+            ),
+            ((0, u64::MAX), Draw::Full),
+        ];
+        for ((lo, hi), want) in cases {
+            let draw = Draw::plan(DelayInterval { lo, hi });
+            assert_eq!(draw, want, "plan for [{lo}, {hi}]");
+            let mut planned = StdRng::seed_from_u64(lo ^ hi);
+            let mut direct = StdRng::seed_from_u64(lo ^ hi);
+            for i in 0..10_000 {
+                assert_eq!(
+                    draw.sample(&mut planned),
+                    direct.gen_range(lo..=hi),
+                    "draw {i} from [{lo}, {hi}]"
+                );
+            }
+            if lo == hi {
+                // A fixed interval consumes no words at all.
+                let fresh = StdRng::seed_from_u64(lo ^ hi).next_u64();
+                assert_eq!(planned.next_u64(), fresh, "[{lo}, {hi}] drew a word");
+            } else {
+                // Same words consumed, rejections included.
+                assert_eq!(
+                    planned.next_u64(),
+                    direct.next_u64(),
+                    "[{lo}, {hi}] desynced"
+                );
+            }
+        }
     }
 
     #[test]

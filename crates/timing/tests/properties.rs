@@ -4,8 +4,8 @@ use localwm_cdfg::generators::{layered, random_dag, LayeredConfig};
 use localwm_cdfg::{EdgeKind, NodeId};
 use localwm_engine::Parallelism;
 use localwm_timing::{
-    bounded_arrival, bounded_critical_path, criticality_in, with_soa_lanes, CriticalityCache,
-    DesignContext, KindBounds, UnitTiming,
+    bounded_arrival, bounded_critical_path, criticality_in, CriticalityCache, DesignContext,
+    KindBounds, UnitTiming,
 };
 use proptest::prelude::*;
 
@@ -115,32 +115,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// The SoA block kernel is byte-identical to the scalar path for any
-    /// random CDFG, seed, sample count, and lane width — including widths
-    /// that never divide the sample count (perpetual tail blocks) and
-    /// widths larger than the whole run.
-    #[test]
-    fn soa_criticality_equals_scalar(
-        n in 5usize..50,
-        p in 0.05f64..0.35,
-        seed in 0u64..1000,
-        run_seed in 0u64..1000,
-        samples in 1usize..70,
-        lanes in 2usize..24,
-    ) {
-        let g = random_dag(n, p, seed);
-        let ctx = DesignContext::new(g);
-        let model = KindBounds::uniform(1, 4);
-        let scalar = with_soa_lanes(1, || {
-            criticality_in(&ctx, &model, samples, run_seed, Parallelism::Serial)
-        });
-        let soa = with_soa_lanes(lanes, || {
-            criticality_in(&ctx, &model, samples, run_seed, Parallelism::Serial)
-        });
-        prop_assert_eq!(&scalar.delays, &soa.delays);
-        prop_assert_eq!(&scalar.criticality, &soa.criticality);
     }
 
     /// Interval analysis: per-node finish intervals are ordered and the
