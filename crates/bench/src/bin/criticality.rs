@@ -7,14 +7,17 @@
 //! so baselines resolve by name. `--quick` trims rounds for the CI lane.
 //!
 //! The bin doubles as the parallel-regression guard: on a multi-core host
-//! it exits non-zero if any parallel lane is more than 5% slower than its
-//! serial twin (the inversion the persistent pool exists to fix). On a
-//! single-core host the guard is skipped with a note — there `Auto`
-//! resolves to one worker and takes the inline serial path by design.
+//! it exits non-zero if any parallel lane's median round is more than 5%
+//! slower than its serial twin's (the inversion the persistent pool exists
+//! to fix). The serial and parallel rounds of one size alternate, so a
+//! burst of host noise lands on both lanes alike, and medians ignore the
+//! odd descheduled round. On a single-core host the guard is skipped with
+//! a note — there `Auto` resolves to one worker and takes the inline
+//! serial path by design.
 
 use std::time::Instant;
 
-use localwm_bench::report::render_table;
+use localwm_bench::report::{median, render_table};
 use localwm_cdfg::generators::{layered, LayeredConfig};
 use localwm_engine::{DesignContext, Parallelism};
 use localwm_timing::{criticality_in, KindBounds};
@@ -30,6 +33,7 @@ const GUARD_HEADROOM: f64 = 1.05;
 struct Lane {
     name: String,
     mean_ns: f64,
+    median_ns: f64,
     rounds: usize,
     baseline_ns: Option<f64>,
 }
@@ -40,13 +44,29 @@ impl Lane {
     }
 }
 
-fn mean_ns<R>(rounds: usize, mut f: impl FnMut() -> R) -> f64 {
-    let _ = f(); // warm-up: caches, pool start, page faults
-    let start = Instant::now();
-    for _ in 0..rounds {
-        let _ = f();
+/// The serial and parallel lane of every size, in report order.
+const LANES: [(&str, Parallelism); 2] = [
+    ("serial", Parallelism::Serial),
+    ("parallel", Parallelism::Auto),
+];
+
+/// Times `rounds` rounds of `f` under each lane's parallelism, after one
+/// warm-up call each (caches, pool start, page faults). The lanes
+/// alternate and swap which goes first every round, so host noise and
+/// cache warmth land on both alike. Returns each lane's per-round ns.
+fn interleaved_ns(rounds: usize, mut f: impl FnMut(Parallelism)) -> [Vec<f64>; 2] {
+    for (_, par) in LANES {
+        f(par);
     }
-    start.elapsed().as_nanos() as f64 / rounds as f64
+    let mut times = [Vec::with_capacity(rounds), Vec::with_capacity(rounds)];
+    for r in 0..rounds {
+        for i in [r % 2, 1 - r % 2] {
+            let start = Instant::now();
+            f(LANES[i].1);
+            times[i].push(start.elapsed().as_nanos() as f64);
+        }
+    }
+    times
 }
 
 /// `name → mean_ns` from a committed `BENCH_*.json`, empty when absent.
@@ -90,7 +110,7 @@ fn main() {
             other => panic!("unknown argument {other} (expected --quick/--out/--baseline)"),
         }
     }
-    let rounds = if quick { 6 } else { 30 };
+    let rounds = if quick { 20 } else { 30 };
     let baselines = load_baselines(&baseline_path);
     let model = KindBounds::uniform(1, 3);
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -103,16 +123,16 @@ fn main() {
             ..Default::default()
         });
         let ctx = DesignContext::new(g);
-        for (tag, par) in [
-            ("serial", Parallelism::Serial),
-            ("parallel", Parallelism::Auto),
-        ] {
+        let times = interleaved_ns(rounds, |par| {
+            std::hint::black_box(criticality_in(&ctx, &model, MC_SAMPLES, 7, par));
+        });
+        for ((tag, _), t) in LANES.into_iter().zip(times) {
             let name = format!("engine/criticality/{tag}/{ops}");
-            let mean = mean_ns(rounds, || criticality_in(&ctx, &model, MC_SAMPLES, 7, par));
             let baseline_ns = baselines.iter().find(|(n, _)| *n == name).map(|&(_, b)| b);
             lanes.push(Lane {
                 name,
-                mean_ns: mean,
+                mean_ns: t.iter().sum::<f64>() / t.len() as f64,
+                median_ns: median(t),
                 rounds,
                 baseline_ns,
             });
@@ -125,6 +145,7 @@ fn main() {
             vec![
                 l.name.clone(),
                 format!("{:.3}", l.mean_ns / 1e6),
+                format!("{:.3}", l.median_ns / 1e6),
                 l.baseline_ns
                     .map_or_else(|| "-".to_owned(), |b| format!("{:.3}", b / 1e6)),
                 l.speedup()
@@ -134,10 +155,19 @@ fn main() {
         .collect();
     print!(
         "{}",
-        render_table(&["benchmark", "mean ms", "baseline ms", "speedup"], &rows)
+        render_table(
+            &[
+                "benchmark",
+                "mean ms",
+                "median ms",
+                "baseline ms",
+                "speedup"
+            ],
+            &rows
+        )
     );
 
-    // Parallel-regression guard.
+    // Parallel-regression guard, on medians of the interleaved rounds.
     let mut violations = Vec::new();
     if cores > 1 {
         for &ops in &SIZES {
@@ -149,12 +179,12 @@ fn main() {
                 .iter()
                 .find(|l| l.name == format!("engine/criticality/parallel/{ops}"))
                 .expect("parallel lane ran");
-            if parallel.mean_ns > serial.mean_ns * GUARD_HEADROOM {
+            if parallel.median_ns > serial.median_ns * GUARD_HEADROOM {
                 violations.push(format!(
-                    "{}: parallel {:.3} ms vs serial {:.3} ms (> {:.0}% headroom)",
+                    "{}: parallel median {:.3} ms vs serial {:.3} ms (> {:.0}% headroom)",
                     ops,
-                    parallel.mean_ns / 1e6,
-                    serial.mean_ns / 1e6,
+                    parallel.median_ns / 1e6,
+                    serial.median_ns / 1e6,
                     (GUARD_HEADROOM - 1.0) * 100.0
                 ));
             }
@@ -175,6 +205,10 @@ fn main() {
                     "mean_ns".to_owned(),
                     Value::Float((l.mean_ns * 10.0).round() / 10.0),
                 ),
+                (
+                    "median_ns".to_owned(),
+                    Value::Float((l.median_ns * 10.0).round() / 10.0),
+                ),
                 ("samples".to_owned(), Value::Int(l.rounds as i64)),
             ];
             if let Some(b) = l.baseline_ns {
@@ -190,7 +224,9 @@ fn main() {
     let note = format!(
         "criticality: Monte-Carlo criticality sweep ({MC_SAMPLES} samples/run, \
          KindBounds::uniform(1,3), seed 7) over layered graphs, {rounds} rounds \
-         per lane after one warm-up; baseline_ns/speedup resolved by lane name \
+         per lane after one warm-up, serial and parallel rounds interleaved; \
+         the parallel-regression guard compares medians; speedup is on means, \
+         baseline_ns/speedup resolved by lane name \
          from {baseline_path}; host had {cores} CPU core(s)"
     );
     let doc = Value::Object(vec![

@@ -21,7 +21,7 @@
 
 use std::time::{Duration, Instant};
 
-use localwm_bench::report::render_table;
+use localwm_bench::report::{median, render_table};
 use localwm_cdfg::generators::{mediabench, mediabench_apps};
 use localwm_cdfg::write_cdfg;
 use localwm_serve::{Client, Request, RequestKind, ServeConfig, ServerHandle};
@@ -108,11 +108,6 @@ fn restart_round(reqs: &[Request], store_dir: &std::path::Path) -> ([f64; 4], Ve
     let (warm_cache, _) = run_pass(&mut client, reqs);
     handle.shutdown();
     ([cold, first_life, warm_start, warm_cache], lines)
-}
-
-fn median(mut xs: Vec<f64>) -> f64 {
-    xs.sort_by(f64::total_cmp);
-    xs[xs.len() / 2]
 }
 
 /// The restart experiment: `rounds` independent restart rounds, each lane

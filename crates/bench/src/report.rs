@@ -1,4 +1,15 @@
-//! Small table-rendering helpers shared by the experiment binaries.
+//! Small table-rendering and summary helpers shared by the experiment
+//! binaries.
+
+/// The median of `xs` (the upper middle element for an even count).
+///
+/// # Panics
+///
+/// Panics if `xs` is empty.
+pub fn median(mut xs: Vec<f64>) -> f64 {
+    xs.sort_by(f64::total_cmp);
+    xs[xs.len() / 2]
+}
 
 /// Renders an ASCII table: a header row plus data rows, columns padded to
 /// the widest cell.

@@ -104,7 +104,8 @@ impl Csr {
         }
     }
 
-    /// Number of rows (== number of nodes).
+    /// Number of rows (== number of nodes; kept nodes in a
+    /// [restricted](Csr::restrict) view).
     pub fn rows(&self) -> usize {
         self.offsets.len() - 1
     }
@@ -141,6 +142,57 @@ impl Csr {
     /// Number of neighbors of node `n`.
     pub fn degree_of(&self, n: NodeId) -> usize {
         self.neighbors_of(n).len()
+    }
+
+    /// The view restricted to the nodes with `keep[v]` set: their rows, in
+    /// the same relative order, each keeping only kept neighbors. A sweep
+    /// over the correspondingly filtered build order then never touches a
+    /// dropped node. Dropped nodes have no row, so [`Csr::neighbors_of`] and
+    /// [`Csr::position`] must not be asked about them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `keep` does not have one entry per node.
+    ///
+    /// ```
+    /// use localwm_cdfg::{Cdfg, Csr, OpKind};
+    ///
+    /// let mut g = Cdfg::new();
+    /// let a = g.add_node(OpKind::Input);
+    /// let b = g.add_node(OpKind::Not);
+    /// let c = g.add_node(OpKind::Add);
+    /// g.add_data_edge(a, b)?;
+    /// g.add_data_edge(a, c)?;
+    /// g.add_data_edge(b, c)?;
+    /// let order = g.topo_order()?;
+    /// let sub = Csr::preds(&g, &order).restrict(&[true, false, true]);
+    /// assert_eq!(sub.rows(), 2);
+    /// assert_eq!(sub.neighbors_of(c), &[a.index() as u32]);
+    /// # Ok::<(), localwm_cdfg::CdfgError>(())
+    /// ```
+    pub fn restrict(&self, keep: &[bool]) -> Csr {
+        assert_eq!(keep.len(), self.pos.len(), "keep must cover every node");
+        let mut node_at = vec![u32::MAX; self.rows()];
+        for (v, &p) in self.pos.iter().enumerate() {
+            if p != u32::MAX {
+                node_at[p as usize] = v as u32;
+            }
+        }
+        let mut offsets = vec![0];
+        let mut targets = Vec::new();
+        let mut pos = vec![u32::MAX; keep.len()];
+        for (p, &v) in node_at.iter().enumerate() {
+            if keep[v as usize] {
+                pos[v as usize] = (offsets.len() - 1) as u32;
+                targets.extend(self.row(p).iter().filter(|&&t| keep[t as usize]));
+                offsets.push(targets.len() as u32);
+            }
+        }
+        Csr {
+            offsets,
+            targets,
+            pos,
+        }
     }
 
     /// Appends an empty row at the end of the row order for a freshly
@@ -263,6 +315,33 @@ mod tests {
         assert_eq!(succs.neighbors_of(a), &[_c.index() as u32]);
         assert_eq!(preds.edge_count(), 3);
         assert_eq!(preds.degree_of(d), 2);
+    }
+
+    #[test]
+    fn restricted_rows_keep_only_kept_nodes() {
+        let (g, [a, b, c, d]) = diamond();
+        let order = g.topo_order().unwrap();
+        let preds = Csr::preds(&g, &order);
+        let succs = Csr::succs(&g, &order);
+        assert_eq!(preds.restrict(&[true; 4]), preds);
+        let mut keep = [true; 4];
+        keep[c.index()] = false;
+        let (sp, ss) = (preds.restrict(&keep), succs.restrict(&keep));
+        let sub: Vec<NodeId> = order.iter().copied().filter(|v| keep[v.index()]).collect();
+        assert_eq!((sp.rows(), ss.rows()), (3, 3));
+        for (p, &v) in sub.iter().enumerate() {
+            assert_eq!(sp.position(v), p);
+            let want = |row: &[u32]| -> Vec<u32> {
+                row.iter().copied().filter(|&t| keep[t as usize]).collect()
+            };
+            assert_eq!(sp.row(p), want(preds.neighbors_of(v)).as_slice());
+            assert_eq!(ss.row(p), want(succs.neighbors_of(v)).as_slice());
+        }
+        assert_eq!(sp.neighbors_of(d), &[b.index() as u32]);
+        assert_eq!(ss.neighbors_of(a), &[b.index() as u32]);
+        // Restricting again composes.
+        keep[b.index()] = false;
+        assert_eq!(sp.restrict(&keep).neighbors_of(d), &[] as &[u32]);
     }
 
     #[test]

@@ -498,6 +498,7 @@ mod tests {
         let json = fs::read_to_string(&probe).unwrap();
         assert!(json.contains("engine.topo.build"));
         assert!(json.contains("timing.criticality.samples"));
+        assert!(json.contains("timing.criticality.support"));
         // lo > hi is rejected.
         assert!(run(&[
             "analyze".into(),

@@ -152,12 +152,21 @@ pub fn possibly_critical_with_arrival<M: DelayBounds + ?Sized>(
 /// backward required-time sweep reads packed predecessor/successor rows and
 /// a precomputed bounds table. Bit-identical to the iterator-based variant
 /// (only `min`/`max` reductions and an order-insensitive filter).
+///
+/// `tolerance` widens the filter to every node whose worst-case slack
+/// (`required − finish.hi` under the all-max assignment) is at most
+/// `tolerance`: `0` gives the possibly-critical set. Since
+/// `required[v] = cp.hi − tail.hi[v]`, a tolerance of `cp.hi − cp.lo`
+/// keeps exactly the nodes with `finish.hi + tail.hi ≥ cp.lo`, the only
+/// ones that can be critical in some consistent assignment. The add
+/// saturates, so an overflow keeps the node.
 pub fn possibly_critical_with_csr(
     order: &[NodeId],
     preds: &Csr,
     succs: &Csr,
     bounds: &[DelayInterval],
     arr: &BoundedArrival,
+    tolerance: u64,
 ) -> Vec<NodeId> {
     let n = order.len();
     let mut required = vec![u64::MAX; n];
@@ -177,7 +186,7 @@ pub fn possibly_critical_with_csr(
     }
     (0..n)
         .map(NodeId::from_index)
-        .filter(|&v| arr.finish[v.index()].hi >= required[v.index()])
+        .filter(|&v| arr.finish[v.index()].hi.saturating_add(tolerance) >= required[v.index()])
         .collect()
 }
 

@@ -657,6 +657,7 @@ impl DesignContext {
             succs,
             &bounds,
             &arr,
+            0,
         ));
         self.caches
             .possibly

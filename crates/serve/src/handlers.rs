@@ -1,11 +1,12 @@
 //! Request execution: pure functions from a request (plus the shared
 //! context cache) to a result object or a typed [`ServiceError`].
 //!
-//! Handlers run on worker threads with [`Parallelism::Serial`] — the
-//! service's concurrency comes from the worker pool, not from nested
-//! fan-out — and every handler is deterministic in its request, so
-//! concurrent and serial executions of the same request stream produce
-//! byte-identical responses.
+//! The server runs handlers on its worker threads with the parallelism it
+//! resolved once at startup from `LOCALWM_THREADS`
+//! ([`Parallelism::from_env`]: `Auto` unless the variable holds a number).
+//! Every handler is deterministic in its request and every engine pass is
+//! parallelism-invariant, so concurrent and serial executions of the same
+//! request stream produce byte-identical responses.
 
 use std::sync::Arc;
 
@@ -57,9 +58,10 @@ pub(crate) fn bounds(req: &Request) -> Result<KindBounds, ServiceError> {
     Ok(KindBounds::uniform(lo, hi))
 }
 
-/// Executes one queued request against the shared cache with
-/// [`Parallelism::Serial`] (the service's default — concurrency comes from
-/// the worker pool).
+/// Executes one request against the shared cache with
+/// [`Parallelism::Serial`]. The server does not call this: its workers
+/// run handlers with the parallelism it read at startup
+/// ([`Parallelism::from_env`]), and the result is the same either way.
 ///
 /// # Errors
 ///

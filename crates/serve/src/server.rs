@@ -10,7 +10,8 @@
 //!   other request: a full queue yields an immediate typed `overloaded`
 //!   error instead of blocking.
 //! * **Workers** — a fixed pool popping the bounded queue and running
-//!   [`handlers::execute`].
+//!   each request's handler with the engine parallelism read once at
+//!   startup ([`Parallelism::from_env`]).
 //! * **Watchdog** — scans pending requests every few milliseconds and
 //!   answers expired ones with `deadline_exceeded`; the response-once flag
 //!   keeps a late worker from double-answering.

@@ -307,11 +307,14 @@ impl CriticalityCache {
 
     /// The full path: one serial run through the shared 8-lane block kernel
     /// ([`soa_sweep`]) — the same code `criticality_in` times with, so the
-    /// captured draws, finish times, and tail lengths are the scratch
-    /// run's by construction (per-sample seeding makes partitioning
-    /// irrelevant to the values). A transpose sink rotates each
-    /// node-major lane block into the cache's sample-major arrays, which
-    /// is the layout the per-sample patch worklists want.
+    /// captured draws, hit counts and circuit delays are the scratch run's
+    /// by construction (per-sample seeding makes partitioning irrelevant
+    /// to the values). Unlike `criticality_in` it sweeps every node, not
+    /// just the sampling support: an edit can move the support, and the
+    /// patch worklists need exact finish and tail rows everywhere. A
+    /// transpose sink rotates each node-major lane block into the cache's
+    /// sample-major arrays, which is the layout the per-sample patch
+    /// worklists want.
     fn capture_from_scratch(
         &mut self,
         ctx: &DesignContext,
@@ -330,22 +333,30 @@ impl CriticalityCache {
         let mut all_crit = vec![false; samples * n];
         let mut hits = vec![0u64; n];
         let mut circuits = Vec::with_capacity(samples);
-        soa_sweep(order, preds, succs, &bounds, seed, 0, samples, |blk| {
-            for lane in 0..blk.k {
-                let base = (blk.s0 + lane) * n;
-                let circuit = blk.circuit[lane];
-                for v in 0..n {
-                    let (f, t) = (blk.finish[v][lane], blk.tail[v][lane]);
-                    all_d[base + v] = blk.d[v][lane];
-                    all_finish[base + v] = f;
-                    all_tail[base + v] = t;
-                    let hit = f + t == circuit;
-                    all_crit[base + v] = hit;
-                    hits[v] += u64::from(hit);
+        soa_sweep(
+            order,
+            preds,
+            succs,
+            &bounds,
+            seed,
+            0,
+            samples,
+            &mut hits,
+            |blk| {
+                for lane in 0..blk.k {
+                    let base = (blk.s0 + lane) * n;
+                    let circuit = blk.circuit[lane];
+                    for v in 0..n {
+                        let (f, t) = (blk.finish[v][lane], blk.tail[v][lane]);
+                        all_d[base + v] = blk.d[v][lane];
+                        all_finish[base + v] = f;
+                        all_tail[base + v] = t;
+                        all_crit[base + v] = f + t == circuit;
+                    }
+                    circuits.push(circuit);
                 }
-                circuits.push(circuit);
-            }
-        });
+            },
+        );
         self.capture = Some(Capture {
             samples,
             seed,

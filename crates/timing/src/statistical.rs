@@ -20,7 +20,7 @@
 //! branch-free `max`/`add` over whole rows with a compile-time trip count,
 //! which LLVM unrolls fully (and vectorizes on targets with 64-bit vector
 //! compares). A run whose sample count 8 does not divide ends with one
-//! short block whose dead lanes the sinks skip or mask off.
+//! short block whose dead lanes the hit count masks off and the sinks skip.
 //!
 //! Delays come from a per-run **draw plan** ([`Draw`]), resolved once per
 //! node from its interval: a fixed interval draws nothing, a power-of-two
@@ -45,11 +45,36 @@
 //! tail[v]` (see the proof in [`crate::CriticalityCache`]'s module docs).
 //! This is also the form the incremental cache captures, so the cache's
 //! from-scratch path reuses this kernel verbatim through a transpose sink.
+//! Hits are counted inside the backward pass, as each tail row is
+//! finalized, so no separate pass over the rows follows it.
+//!
+//! # The sampling support
+//!
+//! The bounded-delay analysis proves most nodes of a wide design can never
+//! be critical, and [`criticality_in`] does not time them. Every
+//! consistent delay assignment has circuit delay at least `cp.lo` (the
+//! all-minimum critical path), and no path through `v` is longer than
+//! `finish.hi[v] + tail.hi[v]` (the all-maximum path through it). So the
+//! run sweeps only its **support**, the nodes with `finish.hi + tail.hi ≥
+//! cp.lo` ([`sampling_support`]): one O(V + E) required-time sweep over
+//! the memoized arrival analysis, with slack tolerance `cp.hi − cp.lo`.
+//! The forward and backward passes walk the support's topo order through
+//! a [restricted](Csr::restrict) CSR pair. Every node still draws its
+//! delay, so each lane's stream advances exactly as before.
+//!
+//! The output cannot change. If `v` is critical in a sample, so is every
+//! node of a longest path through it, and all of those are in the
+//! support: the restricted `finish`, `tail` and `circuit` along that path
+//! equal the full ones, and `v` still counts. If `v` is not critical, the
+//! restricted `finish[v] + tail[v]` can only be smaller than the full one,
+//! which already fell short of `circuit`. Pruned nodes never count, as
+//! they are never critical. The incremental cache's capture sweeps every
+//! node through the same kernel, because an edit can move the support.
 
 use std::time::Instant;
 
 use localwm_cdfg::{Cdfg, Csr, NodeId};
-use localwm_engine::{par_map, DesignContext, Parallelism};
+use localwm_engine::{par_map, possibly_critical_with_csr, DesignContext, Parallelism};
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
@@ -179,7 +204,8 @@ impl Draw {
 /// One finished block of the sweep, handed to the sink: `k` live lanes
 /// (samples `s0 .. s0 + k`) of node-major rows, so quantity `q` of node
 /// index `v` in lane `j` sits at `q[v][j]`. Lanes `k ..` of a final short
-/// block hold stale but bounded values; sinks skip or mask them off.
+/// block hold stale but bounded values; sinks skip or mask them off. Only
+/// the swept nodes' finish and tail rows are current.
 pub(crate) struct SoaBlock<'a> {
     /// Sample index of lane 0.
     pub s0: usize,
@@ -196,9 +222,16 @@ pub(crate) struct SoaBlock<'a> {
 }
 
 /// The Monte-Carlo inner loop: times samples `lo .. hi` of the run
-/// `(seed, bounds)` in 8-lane blocks over the memoized CSR, calling `sink`
-/// once per block. Single source of truth for the per-sample math — the
-/// parallel sweep and the incremental cache's capture both drive it.
+/// `(seed, bounds)` in 8-lane blocks, calling `sink` once per block.
+/// Single source of truth for the per-sample math — the parallel sweep and
+/// the incremental cache's capture both drive it.
+///
+/// Every node draws its delay (`bounds` covers them all, so each lane's
+/// stream advances exactly as in the one-sample loop), but the passes walk
+/// only `order` with its CSR pair: the whole graph, or a
+/// [restriction](Csr::restrict) of it to the [sampling support](sampling_support).
+/// `hits[v]` gains the number of live lanes in which swept node `v` is
+/// critical, counted as its tail row is finalized in the backward pass.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
     order: &[NodeId],
@@ -208,9 +241,10 @@ pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
     seed: u64,
     lo: usize,
     hi: usize,
+    hits: &mut [u64],
     mut sink: F,
 ) {
-    let n = order.len();
+    let n = bounds.len();
     let plan: Vec<Draw> = bounds.iter().map(|&b| Draw::plan(b)).collect();
     let mut d = vec![[0u64; LANES]; n];
     let mut finish = vec![[0u64; LANES]; n];
@@ -252,8 +286,11 @@ pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
             finish[v.index()] = acc;
         }
         // Backward: tails in reverse topo order (successor rows sit at
-        // later positions, already final this block).
-        for p in (0..n).rev() {
+        // later positions, already final this block). A node is critical
+        // in a lane iff finish + tail reaches that lane's circuit; `live`
+        // masks off the dead lanes of a short block.
+        let live: Row = std::array::from_fn(|j| u64::from(j < k));
+        for (p, &v) in order.iter().enumerate().rev() {
             let mut acc = [0u64; LANES];
             for &si in succs.row(p) {
                 let (drow, trow) = (&d[si as usize], &tail[si as usize]);
@@ -261,7 +298,13 @@ pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
                     acc[j] = acc[j].max(drow[j] + trow[j]);
                 }
             }
-            tail[order[p].index()] = acc;
+            let frow = &finish[v.index()];
+            let mut hit = 0u64;
+            for j in 0..LANES {
+                hit += u64::from(frow[j] + acc[j] == circuit[j]) & live[j];
+            }
+            hits[v.index()] += hit;
+            tail[v.index()] = acc;
         }
         sink(&SoaBlock {
             s0: s,
@@ -273,6 +316,34 @@ pub(crate) fn soa_sweep<F: FnMut(&SoaBlock)>(
         });
         s += k;
     }
+}
+
+/// The run's **sampling support** as a per-node mask: every node that can
+/// be critical in some delay assignment consistent with `bounds`. A node's
+/// path length in any assignment is at most `finish.hi + tail.hi`, and
+/// every assignment's circuit delay is at least `cp.lo`, so a node with
+/// `finish.hi + tail.hi < cp.lo` is never critical. One O(V + E)
+/// required-time sweep over the memoized arrival analysis, with slack
+/// tolerance `cp.hi − cp.lo` (see [`possibly_critical_with_csr`]).
+pub(crate) fn sampling_support<M: DelayBounds>(
+    ctx: &DesignContext,
+    model: &M,
+    bounds: &[DelayInterval],
+) -> Vec<bool> {
+    let arr = ctx.bounded_arrival(model);
+    let cp = arr.critical_path;
+    let mut keep = vec![false; bounds.len()];
+    for v in possibly_critical_with_csr(
+        ctx.topo(),
+        ctx.preds_csr(),
+        ctx.succs_csr(),
+        bounds,
+        &arr,
+        cp.hi - cp.lo,
+    ) {
+        keep[v.index()] = true;
+    }
+    keep
 }
 
 /// Runs `samples` Monte-Carlo timing simulations of `g` under `model`,
@@ -311,7 +382,9 @@ pub fn criticality<M: DelayBounds>(
 
 /// [`criticality`] against a shared [`DesignContext`], fanning independent
 /// input vectors across scoped worker threads per `par` and timing them
-/// through the 8-lane block kernel ([`soa_sweep`]).
+/// through the 8-lane block kernel ([`soa_sweep`]) over the run's sampling
+/// support (module docs). Emits the `timing.criticality.samples` and
+/// `timing.criticality.support` (nodes swept) probe counters.
 ///
 /// Per-sample seeding makes the output identical for every
 /// [`Parallelism`] choice.
@@ -328,15 +401,24 @@ pub fn criticality_in<M: DelayBounds>(
 ) -> CriticalityReport {
     assert!(samples > 0, "at least one sample required");
     let g = ctx.graph();
-    let order = ctx.topo();
-    // Flat CSR adjacency: each sweep below streams packed u32 neighbor rows
-    // laid out in topo order instead of chasing EdgeId → Option<Edge>.
-    let preds = ctx.preds_csr();
-    let succs = ctx.succs_csr();
     let n = g.node_count();
     let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
     let probe = ctx.probe();
     probe.counter("timing.criticality.samples", samples as u64);
+
+    // Flat CSR adjacency in topo order, cut down to the nodes that can be
+    // critical at all: the rest never reach a sample's circuit delay, and
+    // dropping them cannot change a swept node's verdict (module docs).
+    let keep = sampling_support(ctx, model, &bounds);
+    let order: Vec<NodeId> = ctx
+        .topo()
+        .iter()
+        .copied()
+        .filter(|v| keep[v.index()])
+        .collect();
+    probe.counter("timing.criticality.support", order.len() as u64);
+    let preds = ctx.preds_csr().restrict(&keep);
+    let succs = ctx.succs_csr().restrict(&keep);
 
     // Contiguous sample ranges, one per worker; per-sample seeds make the
     // partitioning irrelevant to the result.
@@ -351,20 +433,19 @@ pub fn criticality_in<M: DelayBounds>(
     let parts = par_map(par, &ranges, |_, &(lo, hi)| {
         let mut hits = vec![0u64; n];
         let mut delays = Vec::with_capacity(hi - lo);
-        soa_sweep(order, preds, succs, &bounds, seed, lo, hi, |blk| {
-            // Branch-free criticality count per node: a node is critical
-            // in a lane iff finish + tail reaches that lane's circuit;
-            // `live` masks off the dead lanes of a short block.
-            let live: Row = std::array::from_fn(|j| u64::from(j < blk.k));
-            for ((slot, frow), trow) in hits.iter_mut().zip(blk.finish).zip(blk.tail) {
-                let mut hit = 0u64;
-                for j in 0..LANES {
-                    hit += u64::from(frow[j] + trow[j] == blk.circuit[j]) & live[j];
-                }
-                *slot += hit;
-            }
-            delays.extend_from_slice(&blk.circuit[..blk.k]);
-        });
+        soa_sweep(
+            &order,
+            &preds,
+            &succs,
+            &bounds,
+            seed,
+            lo,
+            hi,
+            &mut hits,
+            |blk| {
+                delays.extend_from_slice(&blk.circuit[..blk.k]);
+            },
+        );
         (hits, delays)
     });
     let sweep_ns = u64::try_from(sweep_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
@@ -545,6 +626,87 @@ mod tests {
                 );
             }
         }
+
+        /// Pruning is sound: every node the scalar reference (which times
+        /// the whole graph) finds critical in any sample lies in the
+        /// sampling support.
+        #[test]
+        fn sampled_critical_nodes_lie_in_the_support(
+            n in 5usize..50,
+            p in 0.05f64..0.35,
+            seed in 0u64..1000,
+            run_seed in 0u64..1000,
+            samples in 1usize..70,
+            lo in 0u64..4,
+            width in 0u64..6,
+            per_input in 0u64..3,
+        ) {
+            let ctx = DesignContext::new(random_dag(n, p, seed));
+            let model = DynamicBounds::new(KindBounds::uniform(lo, lo + width), per_input);
+            let inside = support_mask(&ctx, &model);
+            let want = reference_criticality(&ctx, &model, samples, run_seed);
+            for (v, &prob) in want.criticality.iter().enumerate() {
+                prop_assert!(prob == 0.0 || inside[v], "node {} critical outside the support", v);
+            }
+        }
+    }
+
+    /// The sampling support of `model` on `ctx`.
+    fn support_mask<M: DelayBounds>(ctx: &DesignContext, model: &M) -> Vec<bool> {
+        let g = ctx.graph();
+        let bounds: Vec<DelayInterval> = g.node_ids().map(|v| model.bounds(g, v)).collect();
+        sampling_support(ctx, model, &bounds)
+    }
+
+    #[test]
+    fn support_contains_the_possibly_critical_set() {
+        for seed in 0..8 {
+            let ctx = DesignContext::new(random_dag(60, 0.1, seed));
+            for model in [KindBounds::uniform(1, 3), KindBounds::uniform(2, 7)] {
+                let inside = support_mask(&ctx, &model);
+                for v in ctx.possibly_critical(&model) {
+                    assert!(inside[v.index()], "possibly critical {v:?} pruned");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn support_is_every_node_when_the_lower_bound_is_zero() {
+        let ctx = DesignContext::new(random_dag(40, 0.15, 6));
+        let model = KindBounds::uniform(0, 3);
+        assert_eq!(ctx.bounded_critical_path(&model).lo, 0);
+        assert!(support_mask(&ctx, &model).iter().all(|&x| x));
+    }
+
+    #[test]
+    fn support_is_the_possibly_critical_set_for_zero_width_intervals() {
+        for seed in 0..4 {
+            let ctx = DesignContext::new(random_dag(40, 0.15, seed));
+            let model = KindBounds::uniform(2, 2);
+            let want: Vec<bool> = {
+                let mut m = vec![false; ctx.graph().node_count()];
+                for v in ctx.possibly_critical(&model) {
+                    m[v.index()] = true;
+                }
+                m
+            };
+            assert_eq!(support_mask(&ctx, &model), want);
+            assert!(want.iter().any(|&x| !x), "seed {seed} prunes nothing");
+        }
+    }
+
+    #[test]
+    fn mediabench_sweeps_only_its_support() {
+        let g = localwm_cdfg::generators::mediabench(
+            &localwm_cdfg::generators::mediabench_apps()[0],
+            0,
+        );
+        let rec = std::sync::Arc::new(localwm_engine::RecordingProbe::new());
+        let ctx = DesignContext::new(g).with_probe(rec.clone());
+        let _ = criticality_in(&ctx, &KindBounds::uniform(1, 3), 16, 1, Parallelism::Serial);
+        assert_eq!(ctx.graph().node_count(), 733);
+        assert_eq!(rec.counter_value("timing.criticality.support"), 437);
     }
 
     #[test]
@@ -661,6 +823,10 @@ mod tests {
         let ctx = DesignContext::from(&g).with_probe(rec.clone());
         let _ = criticality_in(&ctx, &KindBounds::uniform(1, 3), 25, 3, Parallelism::Serial);
         assert_eq!(rec.counter_value("timing.criticality.samples"), 25);
+        let support = support_mask(&ctx, &KindBounds::uniform(1, 3));
+        let swept = support.iter().filter(|&&x| x).count() as u64;
+        assert_eq!(rec.counter_value("timing.criticality.support"), swept);
+        assert!(swept > 0 && swept <= 30);
         assert_eq!(rec.timer_count("timing.criticality"), 1);
         // ns_per_sample (elapsed/samples) is recorded once per run.
         assert!(rec.counter_value("timing.criticality.ns_per_sample") < u64::MAX);
