@@ -20,7 +20,7 @@ use localwm_engine::{DesignContext, Parallelism};
 use localwm_sched::write_schedule;
 use serde::{object, Serialize, Value};
 
-use crate::commands::{flag_value, load_design, positional, signature, wm_config};
+use crate::commands::{check_flags, flag_value, load_design, positional, signature, wm_config};
 
 type CliResult = Result<(), String>;
 
@@ -62,6 +62,21 @@ fn parse_budgets(args: &[String]) -> Result<Vec<f64>, String> {
 /// `localwm attack <design.cdfg> --author ID [--attack KIND] [--budget B]
 /// [--seed N] [--fraction F | --k K] [-o schedule.txt] [--trace-out FILE]`
 pub fn attack(args: &[String]) -> CliResult {
+    check_flags(
+        "attack",
+        args,
+        &[
+            "--author",
+            "--fraction",
+            "--k",
+            "--attack",
+            "--budget",
+            "--seed",
+            "-o",
+            "--trace-out",
+        ],
+        &[],
+    )?;
     let path = positional(args, 0).ok_or("attack: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let sig = signature(args)?;
@@ -121,6 +136,20 @@ pub fn attack(args: &[String]) -> CliResult {
 /// `localwm strength --corpus DIR --author ID [...]` for the corpus-wide
 /// aggregated table.
 pub fn strength(args: &[String]) -> CliResult {
+    check_flags(
+        "strength",
+        args,
+        &[
+            "--author",
+            "--fraction",
+            "--k",
+            "--budgets",
+            "--seed",
+            "-o",
+            "--corpus",
+        ],
+        &["--json"],
+    )?;
     let sig = signature(args)?;
     let cfg = StrengthConfig {
         budgets: parse_budgets(args)?,

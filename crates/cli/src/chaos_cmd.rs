@@ -14,7 +14,7 @@ use std::time::Duration;
 use localwm_testkit::chaos::{self, ChaosConfig};
 use localwm_testkit::cluster::{self, GatewayChaosConfig};
 
-use crate::commands::flag_value;
+use crate::commands::{check_flags, flag_value};
 
 /// Runs `localwm chaos [--seed N] [--requests N] [--faults-per-point N]
 /// [--workers N] [--queue-depth N] [--cache-cap N] [--recv-timeout-ms N]
@@ -37,8 +37,36 @@ pub fn chaos(args: &[String]) -> Result<(), String> {
         }
     };
     if args.iter().any(|a| a == "--gateway") {
+        check_flags(
+            "chaos --gateway",
+            args,
+            &[
+                "--seed",
+                "--requests",
+                "--backends",
+                "--replicas",
+                "--recv-timeout-ms",
+                "--report-out",
+            ],
+            &["--gateway", "--no-kill", "--no-restart", "--json"],
+        )?;
         return gateway_chaos(args, &parse);
     }
+    check_flags(
+        "chaos",
+        args,
+        &[
+            "--seed",
+            "--requests",
+            "--faults-per-point",
+            "--workers",
+            "--queue-depth",
+            "--cache-cap",
+            "--recv-timeout-ms",
+            "--report-out",
+        ],
+        &["--json"],
+    )?;
     let cfg = ChaosConfig {
         seed: parse("--seed", 1)?,
         requests: usize::try_from(parse("--requests", 48)?).map_err(|e| e.to_string())?,

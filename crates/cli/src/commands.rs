@@ -102,6 +102,40 @@ pub(crate) fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> 
         .map(String::as_str)
 }
 
+/// [`flag_value`] parsed as a `T`; a value that does not parse is an error.
+pub(crate) fn parse_flag<T: std::str::FromStr>(
+    args: &[String],
+    flag: &str,
+) -> Result<Option<T>, String> {
+    match flag_value(args, flag) {
+        None => Ok(None),
+        Some(raw) => raw
+            .parse::<T>()
+            .map(Some)
+            .map_err(|_| format!("bad value for {flag}: `{raw}`")),
+    }
+}
+
+/// Declares the flags subcommand `cmd` accepts and rejects any other
+/// `-`-prefixed token in `args`: each of `valued` takes the next token as
+/// its value, each of `switches` stands alone.
+pub(crate) fn check_flags(
+    cmd: &str,
+    args: &[String],
+    valued: &[&str],
+    switches: &[&str],
+) -> CliResult {
+    let mut tokens = args.iter().map(String::as_str);
+    while let Some(token) = tokens.next() {
+        if valued.contains(&token) {
+            tokens.next();
+        } else if token.starts_with('-') && !switches.contains(&token) {
+            return Err(format!("unknown flag `{token}` for `{cmd}`"));
+        }
+    }
+    Ok(())
+}
+
 pub(crate) fn positional(args: &[String], idx: usize) -> Option<&str> {
     args.iter()
         .filter(|a| !a.starts_with('-'))
@@ -122,6 +156,7 @@ pub(crate) fn load_design(path: &str) -> Result<Cdfg, String> {
 }
 
 fn gen(args: &[String]) -> CliResult {
+    check_flags("gen", args, &["--seed", "-o"], &[])?;
     let name = positional(args, 0).ok_or("gen: missing design name")?;
     let seed: u64 = flag_value(args, "--seed")
         .map(|s| s.parse().map_err(|_| format!("bad seed `{s}`")))
@@ -174,6 +209,7 @@ fn build_design(name: &str, seed: u64) -> Result<Cdfg, String> {
 }
 
 fn info(args: &[String]) -> CliResult {
+    check_flags("info", args, &[], &[])?;
     let path = positional(args, 0).ok_or("info: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
@@ -196,6 +232,7 @@ fn info(args: &[String]) -> CliResult {
 }
 
 fn dot(args: &[String]) -> CliResult {
+    check_flags("dot", args, &[], &[])?;
     let path = positional(args, 0).ok_or("dot: missing design file")?;
     let g = load_design(path)?;
     print!("{}", g.to_dot("design"));
@@ -227,6 +264,12 @@ pub(crate) fn signature(args: &[String]) -> Result<Signature, String> {
 }
 
 fn embed(args: &[String]) -> CliResult {
+    check_flags(
+        "embed",
+        args,
+        &["--author", "--fraction", "--k", "-o", "--marked"],
+        &[],
+    )?;
     let path = positional(args, 0).ok_or("embed: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
@@ -260,6 +303,7 @@ fn embed(args: &[String]) -> CliResult {
 }
 
 fn detect(args: &[String]) -> CliResult {
+    check_flags("detect", args, &["--author", "--fraction", "--k"], &[])?;
     let design_path = positional(args, 0).ok_or("detect: missing design file")?;
     let sched_path = positional(args, 1).ok_or("detect: missing schedule file")?;
     let ctx = DesignContext::new(load_design(design_path)?);
@@ -286,6 +330,19 @@ fn detect(args: &[String]) -> CliResult {
 }
 
 fn schedule_cmd(args: &[String]) -> CliResult {
+    check_flags(
+        "schedule",
+        args,
+        &[
+            "--scheduler",
+            "--steps",
+            "--alu",
+            "--mult",
+            "--mem",
+            "--branch",
+        ],
+        &[],
+    )?;
     let path = positional(args, 0).ok_or("schedule: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
@@ -325,6 +382,7 @@ fn schedule_cmd(args: &[String]) -> CliResult {
 }
 
 fn simulate(args: &[String]) -> CliResult {
+    check_flags("simulate", args, &["--seed"], &[])?;
     let path = positional(args, 0).ok_or("simulate: missing design file")?;
     let ctx = DesignContext::new(load_design(path)?);
     let g = ctx.graph();
@@ -344,6 +402,19 @@ fn simulate(args: &[String]) -> CliResult {
 /// Full timing-analysis sweep through the shared engine layer, with
 /// optional instrumentation-probe JSON dump (`--probe-out`).
 fn analyze(args: &[String]) -> CliResult {
+    check_flags(
+        "analyze",
+        args,
+        &[
+            "--deadline",
+            "--lo",
+            "--hi",
+            "--samples",
+            "--seed",
+            "--probe-out",
+        ],
+        &[],
+    )?;
     let path = positional(args, 0).ok_or("analyze: missing design file")?;
     let probe = Arc::new(RecordingProbe::new());
     let ctx = DesignContext::new(load_design(path)?).with_probe(probe.clone());

@@ -2,17 +2,7 @@
 
 use localwm_gateway::{BackendSpec, GatewayConfig};
 
-use crate::commands::flag_value;
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("bad value for {flag}: `{raw}`")),
-    }
-}
+use crate::commands::{check_flags, flag_value, parse_flag};
 
 /// Runs `localwm gateway --backends [name=]H:P,[name=]H:P,... [--addr A]
 /// [--replicas N] [--max-retries N] [--backoff-base-ms N]
@@ -25,6 +15,21 @@ fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Optio
 ///
 /// Returns a message for bad flags or bind failures.
 pub fn gateway(args: &[String]) -> Result<(), String> {
+    check_flags(
+        "gateway",
+        args,
+        &[
+            "--backends",
+            "--addr",
+            "--replicas",
+            "--max-retries",
+            "--backoff-base-ms",
+            "--backoff-cap-ms",
+            "--recv-timeout-ms",
+            "--health-interval-ms",
+        ],
+        &[],
+    )?;
     let raw = flag_value(args, "--backends")
         .ok_or("gateway: --backends [name=]host:port[,...] is required")?;
     let backends: Vec<BackendSpec> = raw

@@ -33,6 +33,7 @@
 //! `dac`, `echo`), or `mediabench:<app>` (`dac`, `g721`, `epic`, `pegwit`,
 //! `pgp`, `gsm`, `jpeg`, `mpeg2`).
 
+use std::any::Any;
 use std::process::ExitCode;
 
 mod attack_cmd;
@@ -44,11 +45,32 @@ mod store_cmd;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    match commands::run(&args) {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+    // A reader that closes stdout early (`localwm analyze … | head -1`)
+    // makes the next `println!` panic with EPIPE. The reader has seen all
+    // it wants, so that ends the command quietly with success.
+    let report_panic = std::panic::take_hook();
+    std::panic::set_hook(Box::new(move |info| {
+        if !is_closed_stdout(info.payload()) {
+            report_panic(info);
+        }
+    }));
+    match std::panic::catch_unwind(|| commands::run(&args)) {
+        Ok(Ok(())) => ExitCode::SUCCESS,
+        Ok(Err(e)) => {
             eprintln!("error: {e}");
             ExitCode::FAILURE
         }
+        Err(payload) if is_closed_stdout(payload.as_ref()) => ExitCode::SUCCESS,
+        Err(payload) => std::panic::resume_unwind(payload),
     }
+}
+
+/// Whether a panic payload is `print!`'s report of a write to a stdout
+/// whose reader has gone (`EPIPE`).
+fn is_closed_stdout(payload: &(dyn Any + Send)) -> bool {
+    let msg = payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&str>().copied());
+    msg.is_some_and(|m| m.starts_with("failed printing to stdout") && m.contains("Broken pipe"))
 }

@@ -6,29 +6,29 @@ use std::time::Duration;
 use localwm_serve::{Client, Request, RequestKind, ServeConfig};
 use serde::Value;
 
+use crate::commands::{check_flags, flag_value, parse_flag};
+
 type CliResult = Result<(), String>;
-
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(String::as_str)
-}
-
-fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str) -> Result<Option<T>, String> {
-    match flag_value(args, flag) {
-        None => Ok(None),
-        Some(raw) => raw
-            .parse::<T>()
-            .map(Some)
-            .map_err(|_| format!("bad value for {flag}: `{raw}`")),
-    }
-}
 
 /// `localwm serve [--addr A] [--workers N] [--queue-depth N] [--cache-cap N]
 /// [--default-timeout-ms N] [--session-idle-ms N] [--metrics-out FILE]
 /// [--store-dir DIR]`
 pub fn serve(args: &[String]) -> CliResult {
+    check_flags(
+        "serve",
+        args,
+        &[
+            "--addr",
+            "--workers",
+            "--queue-depth",
+            "--cache-cap",
+            "--default-timeout-ms",
+            "--session-idle-ms",
+            "--metrics-out",
+            "--store-dir",
+        ],
+        &[],
+    )?;
     let mut cfg = ServeConfig {
         addr: flag_value(args, "--addr")
             .unwrap_or("127.0.0.1:7171")
@@ -74,8 +74,41 @@ pub fn serve(args: &[String]) -> CliResult {
 /// response; with a gateway address this exercises the pooled route path.
 pub fn request(args: &[String]) -> CliResult {
     if args.iter().any(|a| a == "--edit-trace") {
+        check_flags(
+            "request --edit-trace",
+            args,
+            &["--edit-trace", "--design", "--session", "--addr"],
+            &[],
+        )?;
         return replay_edit_trace(args);
     }
+    check_flags(
+        "request",
+        args,
+        &[
+            "--addr",
+            "--id",
+            "--design",
+            "--author",
+            "--schedule",
+            "--session",
+            "--edits",
+            "--fraction",
+            "--k",
+            "--deadline",
+            "--lo",
+            "--hi",
+            "--samples",
+            "--seed",
+            "--attack",
+            "--budget",
+            "--budgets",
+            "--timeout-ms",
+            "--repeat",
+            "--schedule-out",
+        ],
+        &["--binary"],
+    )?;
     let kind_raw = args.first().map(String::as_str).ok_or(
         "usage: localwm request <embed|detect|analyze|timing|attack|strength|open|mutate|close|stats|cluster_stats|shutdown> ...",
     )?;

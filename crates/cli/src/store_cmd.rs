@@ -20,7 +20,7 @@ use std::fs;
 use localwm_cdfg::{read_cdfg_binary, write_cdfg};
 use localwm_store::{DesignStore, RecordKind};
 
-use crate::commands::flag_value;
+use crate::commands::{check_flags, flag_value};
 
 type CliResult = Result<(), String>;
 
@@ -30,6 +30,7 @@ pub fn store(args: &[String]) -> CliResult {
         "usage: localwm store <ls|get HASH|verify|compact> --dir DIR (try `localwm help`)",
     )?;
     let rest = &args[1..];
+    check_flags("store", rest, &["--dir", "-o"], &[])?;
     let dir = flag_value(rest, "--dir").ok_or("store: missing --dir DIR")?;
     let open = || DesignStore::open(dir).map_err(|e| format!("opening store at {dir}: {e}"));
     match action {

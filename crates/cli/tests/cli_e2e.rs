@@ -470,3 +470,66 @@ fn request_binary_flag_round_trips_through_the_framed_encoding() {
     assert!(server.child.wait().expect("server exit").success());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+fn corpus_design(name: &str) -> PathBuf {
+    Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../../corpus/designs")
+        .join(name)
+}
+
+#[test]
+fn unknown_flags_are_rejected_per_subcommand() {
+    let design = corpus_design("iir4.cdfg");
+    let design = design.to_str().unwrap();
+    let out = localwm()
+        .args(["analyze", design, "--bogus-flag", "1"])
+        .output()
+        .expect("spawn localwm");
+    assert!(!out.status.success(), "an unknown flag fails the command");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown flag `--bogus-flag` for `analyze`"),
+        "the error names the flag and the subcommand: {stderr}"
+    );
+    assert!(out.stdout.is_empty(), "nothing ran: {:?}", out.stdout);
+
+    // Flags are checked before any connection is made.
+    let out = localwm()
+        .args(["request", "stats", "--addr", "127.0.0.1:1", "--sample", "5"])
+        .output()
+        .expect("spawn localwm");
+    assert!(!out.status.success());
+    assert!(
+        String::from_utf8_lossy(&out.stderr).contains("unknown flag `--sample` for `request`"),
+        "a misspelled flag is not silently ignored"
+    );
+
+    // Declared flags, their values included, still pass.
+    let out = run_ok(localwm().args(["analyze", design, "--samples", "50", "--seed", "3"]));
+    assert!(!out.is_empty());
+}
+
+#[test]
+fn a_closed_stdout_ends_the_command_quietly() {
+    let design = corpus_design("mediabench-0.cdfg");
+    let mut child = localwm()
+        .args(["analyze", design.to_str().unwrap()])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn localwm");
+    // Close the read end before the command prints its first line (it
+    // parses and analyzes a 733-node design first), as `| head -0` would.
+    drop(child.stdout.take());
+    let out = child.wait_with_output().expect("wait for localwm");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "a reader that stops reading is not a failure: {:?}, {stderr}",
+        out.status
+    );
+    assert!(
+        !stderr.contains("panicked") && !stderr.contains("Broken pipe"),
+        "no panic report: {stderr}"
+    );
+}

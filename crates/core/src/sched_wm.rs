@@ -1,7 +1,7 @@
 //! The operation-scheduling watermark (paper §IV-A, Fig. 2).
 
 use localwm_cdfg::{Cdfg, NodeId};
-use localwm_engine::{par_map, DesignContext, Parallelism};
+use localwm_engine::{DesignContext, Parallelism};
 use localwm_prng::{Bitstream, Signature};
 use localwm_sched::{list_schedule_in, ResourceSet, Schedule, Windows};
 
@@ -214,7 +214,6 @@ impl SchedulingWatermarker {
         &self,
         ctx: &DesignContext,
         signature: &Signature,
-        par: Parallelism,
     ) -> Result<Derivation, WatermarkError> {
         self.config.validate()?;
         let g = ctx.graph();
@@ -245,55 +244,53 @@ impl SchedulingWatermarker {
         // detection replays the identical deterministic loop.
         let roots = crate::domain::root_candidates_in(ctx, tau, (k / 4).max(2));
 
-        // Phase 1 — locality preparation, fanned across workers. Each
-        // attempt's bitstream, root pick, domain walk and eligibility
-        // filter depend only on (graph, signature, attempt index), never on
-        // edges drawn by earlier attempts, so the fan-out is result-
-        // identical for every `Parallelism` choice.
-        let attempts: Vec<usize> = (0..self.config.max_attempts).collect();
-        let prepared: Vec<Option<(Bitstream, Domain, Vec<NodeId>)>> =
-            par_map(par, &attempts, |_, &attempt| {
-                let mut bits =
-                    Bitstream::for_purpose(signature, &format!("sched-wm/attempt-{attempt}"));
-                let root = pick_root(&roots, &mut bits)?;
-                let domain = select_domain_in(ctx, root, tau, &mut bits);
+        // One locality per attempt. Its bitstream, root pick, domain walk
+        // and eligibility filter depend only on (graph, signature, attempt
+        // index), never on edges drawn by earlier attempts, so preparing it
+        // only when the drawing loop reaches it gives the same derivation
+        // as preparing every attempt up front.
+        let prepare = |attempt: usize| -> Option<(Bitstream, Domain, Vec<NodeId>)> {
+            let mut bits =
+                Bitstream::for_purpose(signature, &format!("sched-wm/attempt-{attempt}"));
+            let root = pick_root(&roots, &mut bits)?;
+            let domain = select_domain_in(ctx, root, tau, &mut bits);
 
-                // T': eligible nodes — schedulable, laxity within the cap,
-                // and (pruned to a fixpoint) owning an overlap partner
-                // inside T'.
-                let mut t_prime: Vec<NodeId> = domain
-                    .t
-                    .iter()
-                    .copied()
-                    .filter(|&n| g.kind(n).is_schedulable())
-                    .filter(|&n| f64::from(windows.laxity(n)) <= laxity_cap)
-                    .collect();
-                loop {
-                    let before = t_prime.len();
-                    let snapshot = t_prime.clone();
-                    t_prime.retain(|&n| snapshot.iter().any(|&m| m != n && windows.overlap(n, m)));
-                    if t_prime.len() == before {
-                        break;
-                    }
+            // T': eligible nodes — schedulable, laxity within the cap, and
+            // (pruned to a fixpoint) owning an overlap partner inside T'.
+            let mut t_prime: Vec<NodeId> = domain
+                .t
+                .iter()
+                .copied()
+                .filter(|&n| g.kind(n).is_schedulable())
+                .filter(|&n| f64::from(windows.laxity(n)) <= laxity_cap)
+                .collect();
+            loop {
+                let before = t_prime.len();
+                let snapshot = t_prime.clone();
+                t_prime.retain(|&n| snapshot.iter().any(|&m| m != n && windows.overlap(n, m)));
+                if t_prime.len() == before {
+                    break;
                 }
-                Some((bits, domain, t_prime))
-            });
-        ctx.probe()
-            .counter("core.sched_wm.attempts", prepared.len() as u64);
+            }
+            Some((bits, domain, t_prime))
+        };
 
-        // Phase 2 — edge drawing. Each drawn edge tightens the working
-        // graph that later draws are filtered against, so localities are
-        // consumed strictly in attempt order.
+        // Edge drawing. Each drawn edge tightens the working graph that
+        // later draws are filtered against, so localities are consumed
+        // strictly in attempt order, and none is prepared once the K-th
+        // edge is drawn.
         let mut best_candidates = 0usize;
         let mut pairs_examined = 0usize;
         let mut domains: Vec<Domain> = Vec::new();
         let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(k);
         let mut working = DesignContext::from(g);
-        for prep in prepared {
+        let mut prepared = 0u64;
+        for attempt in 0..self.config.max_attempts {
             if edges.len() == k {
                 break;
             }
-            let Some((mut bits, domain, t_prime)) = prep else {
+            prepared += 1;
+            let Some((mut bits, domain, t_prime)) = prepare(attempt) else {
                 break;
             };
             best_candidates = best_candidates.max(t_prime.len());
@@ -318,12 +315,15 @@ impl SchedulingWatermarker {
                 let ni = t2[i];
                 let wt = working.unit_timing();
                 pairs_examined += t2.len() - i - 1;
+                // The O(1) window and path-cap tests run before the two
+                // O(V+E) reachability walks; all are pure, so the order
+                // does not change the set.
                 let gset: Vec<NodeId> = t2[i + 1..]
                     .iter()
                     .copied()
                     .filter(|&nj| windows.overlap(ni, nj))
-                    .filter(|&nj| !working.reaches(ni, nj) && !working.reaches(nj, ni))
                     .filter(|&nj| wt.asap(ni) + wt.tail(nj) <= edge_path_cap)
+                    .filter(|&nj| !working.reaches(ni, nj) && !working.reaches(nj, ni))
                     .collect();
                 let Some(&nk) = bits.choose(&gset) else {
                     continue;
@@ -338,6 +338,7 @@ impl SchedulingWatermarker {
                 domains.push(domain);
             }
         }
+        ctx.probe().counter("core.sched_wm.attempts", prepared);
         ctx.probe()
             .counter("core.sched_wm.edges", edges.len() as u64);
         if edges.len() == k {
@@ -376,10 +377,12 @@ impl SchedulingWatermarker {
         self.embed_in(&DesignContext::from(g), signature, Parallelism::from_env())
     }
 
-    /// [`SchedulingWatermarker::embed`] against a shared [`DesignContext`],
-    /// fanning the per-attempt locality preparation across scoped worker
-    /// threads per `par`. The embedding is byte-identical for every
-    /// [`Parallelism`] choice.
+    /// [`SchedulingWatermarker::embed`] against a shared [`DesignContext`].
+    ///
+    /// The derivation prepares each locality only when its edge-drawing
+    /// loop reaches it, in attempt order, on the calling thread, so the
+    /// [`Parallelism`] argument no longer changes the work done; it is kept
+    /// for source compatibility with existing callers.
     ///
     /// # Errors
     ///
@@ -388,9 +391,9 @@ impl SchedulingWatermarker {
         &self,
         ctx: &DesignContext,
         signature: &Signature,
-        par: Parallelism,
+        _par: Parallelism,
     ) -> Result<SchedEmbedding, WatermarkError> {
-        let (domains, edges, windows) = self.derive_in(ctx, signature, par)?;
+        let (domains, edges, windows) = self.derive_in(ctx, signature)?;
         let mut marked = ctx.graph().clone();
         for &(s, d) in &edges {
             marked.add_temporal_edge(s, d)?;
@@ -434,9 +437,8 @@ impl SchedulingWatermarker {
     }
 
     /// [`SchedulingWatermarker::detect`] against a shared
-    /// [`DesignContext`], fanning the per-attempt locality preparation
-    /// across scoped worker threads per `par`. The evidence is
-    /// byte-identical for every [`Parallelism`] choice.
+    /// [`DesignContext`]. Like [`SchedulingWatermarker::embed_in`], its
+    /// [`Parallelism`] argument no longer changes the work done.
     ///
     /// # Errors
     ///
@@ -446,9 +448,9 @@ impl SchedulingWatermarker {
         schedule: &Schedule,
         ctx: &DesignContext,
         signature: &Signature,
-        par: Parallelism,
+        _par: Parallelism,
     ) -> Result<SchedEvidence, WatermarkError> {
-        let (_, edges, windows) = self.derive_in(ctx, signature, par)?;
+        let (_, edges, windows) = self.derive_in(ctx, signature)?;
         let checks: Vec<(NodeId, NodeId, bool)> = edges
             .iter()
             .map(|&(s, d)| (s, d, schedule.executes_before(s, d).unwrap_or(false)))
@@ -494,6 +496,246 @@ mod tests {
 
     fn sig(name: &str) -> Signature {
         Signature::from_author(name)
+    }
+
+    /// The eager derivation `derive_in` replaced, kept as a reference: it
+    /// prepares all `max_attempts` localities up front (fanned out per
+    /// `par`), then draws edges from them in attempt order with the
+    /// original filter order. Also returns how many localities the drawing
+    /// loop consumed.
+    fn derive_eager(
+        wm: &SchedulingWatermarker,
+        ctx: &DesignContext,
+        signature: &Signature,
+        par: Parallelism,
+    ) -> (Result<Derivation, WatermarkError>, u64) {
+        use localwm_engine::par_map;
+        if let Err(e) = wm.config.validate() {
+            return (Err(e), 0);
+        }
+        let g = ctx.graph();
+        let (tau, k) = wm.config.resolve(g);
+        let cp = ctx.unit_timing().critical_path();
+        if cp == 0 {
+            let e = WatermarkError::NoDomain {
+                attempts: 0,
+                best_candidates: 0,
+                needed: k + 1,
+            };
+            return (Err(e), 0);
+        }
+        let steps = ((f64::from(cp) * wm.config.slack_factor).ceil() as u32).max(cp);
+        let windows = match Windows::in_ctx(ctx, steps) {
+            Ok(w) => w,
+            Err(e) => return (Err(e.into()), 0),
+        };
+        let laxity_cap = f64::from(steps) * (1.0 - wm.config.epsilon);
+        let edge_path_cap = laxity_cap.floor().min(f64::from(steps)) as u32;
+        let roots = crate::domain::root_candidates_in(ctx, tau, (k / 4).max(2));
+        let attempts: Vec<usize> = (0..wm.config.max_attempts).collect();
+        let prepared: Vec<Option<(Bitstream, Domain, Vec<NodeId>)>> =
+            par_map(par, &attempts, |_, &attempt| {
+                let mut bits =
+                    Bitstream::for_purpose(signature, &format!("sched-wm/attempt-{attempt}"));
+                let root = pick_root(&roots, &mut bits)?;
+                let domain = select_domain_in(ctx, root, tau, &mut bits);
+                let mut t_prime: Vec<NodeId> = domain
+                    .t
+                    .iter()
+                    .copied()
+                    .filter(|&n| g.kind(n).is_schedulable())
+                    .filter(|&n| f64::from(windows.laxity(n)) <= laxity_cap)
+                    .collect();
+                loop {
+                    let before = t_prime.len();
+                    let snapshot = t_prime.clone();
+                    t_prime.retain(|&n| snapshot.iter().any(|&m| m != n && windows.overlap(n, m)));
+                    if t_prime.len() == before {
+                        break;
+                    }
+                }
+                Some((bits, domain, t_prime))
+            });
+        let mut consumed = 0u64;
+        let mut best_candidates = 0usize;
+        let mut pairs_examined = 0usize;
+        let mut domains: Vec<Domain> = Vec::new();
+        let mut edges: Vec<(NodeId, NodeId)> = Vec::with_capacity(k);
+        let mut working = DesignContext::from(g);
+        for prep in prepared {
+            if edges.len() == k {
+                break;
+            }
+            consumed += 1;
+            let Some((mut bits, domain, t_prime)) = prep else {
+                break;
+            };
+            best_candidates = best_candidates.max(t_prime.len());
+            if t_prime.len() < 2 {
+                continue;
+            }
+            let rem = k - edges.len();
+            let want = (2 * rem + 2).min(t_prime.len());
+            let idxs = bits.ordered_selection(t_prime.len(), want);
+            let t2: Vec<NodeId> = idxs.into_iter().map(|i| t_prime[i]).collect();
+            let mut drew_here = false;
+            for i in 0..t2.len() {
+                if edges.len() == k {
+                    break;
+                }
+                let ni = t2[i];
+                let wt = working.unit_timing();
+                pairs_examined += t2.len() - i - 1;
+                let gset: Vec<NodeId> = t2[i + 1..]
+                    .iter()
+                    .copied()
+                    .filter(|&nj| windows.overlap(ni, nj))
+                    .filter(|&nj| !working.reaches(ni, nj) && !working.reaches(nj, ni))
+                    .filter(|&nj| wt.asap(ni) + wt.tail(nj) <= edge_path_cap)
+                    .collect();
+                let Some(&nk) = bits.choose(&gset) else {
+                    continue;
+                };
+                working
+                    .add_temporal_edge(ni, nk)
+                    .expect("incomparable nodes cannot cycle");
+                edges.push((ni, nk));
+                drew_here = true;
+            }
+            if drew_here {
+                domains.push(domain);
+            }
+        }
+        let result = if edges.len() == k {
+            Ok((domains, edges, windows))
+        } else if edges.is_empty() && pairs_examined > 0 {
+            Err(WatermarkError::NoIncomparablePairs {
+                domain_size: best_candidates,
+                pairs_examined,
+            })
+        } else if best_candidates < 2 {
+            Err(WatermarkError::NoDomain {
+                attempts: wm.config.max_attempts,
+                best_candidates,
+                needed: 2,
+            })
+        } else {
+            Err(WatermarkError::TooFewEdges {
+                drawn: edges.len(),
+                requested: k,
+            })
+        };
+        (result, consumed)
+    }
+
+    /// Every committed corpus design plus the Table II designs the
+    /// scheduling watermark cannot host (typed-error paths).
+    fn reference_designs() -> Vec<(String, Cdfg)> {
+        use localwm_cdfg::designs::{table2_design, table2_designs};
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../corpus/designs");
+        let mut paths: Vec<_> = std::fs::read_dir(&dir)
+            .expect("corpus/designs")
+            .map(|e| e.expect("dir entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "cdfg"))
+            .collect();
+        paths.sort();
+        assert!(paths.len() >= 6, "corpus designs present");
+        let mut out: Vec<(String, Cdfg)> = paths
+            .iter()
+            .map(|p| {
+                let text = std::fs::read_to_string(p).expect("read design");
+                let g = localwm_cdfg::parse_cdfg(&text).expect("corpus design parses");
+                (p.display().to_string(), g)
+            })
+            .collect();
+        for d in table2_designs().iter().take(4) {
+            out.push((d.name.to_owned(), table2_design(d)));
+        }
+        out
+    }
+
+    fn reference_configs() -> Vec<SchedWmConfig> {
+        vec![
+            SchedWmConfig::default(),
+            SchedWmConfig {
+                epsilon: 0.0,
+                slack_factor: 2.0,
+                ..SchedWmConfig::default()
+            },
+            SchedWmConfig {
+                k: 12,
+                max_attempts: 6,
+                ..SchedWmConfig::default()
+            },
+        ]
+    }
+
+    #[test]
+    fn on_demand_derivation_equals_eager_reference() {
+        let mut outcomes = std::collections::BTreeSet::new();
+        for (name, g) in reference_designs() {
+            let ctx = DesignContext::from(&g);
+            for config in reference_configs() {
+                let wm = SchedulingWatermarker::new(config);
+                for author in ["alice", "bob", "carol", "dave"] {
+                    let s = sig(author);
+                    let lazy = wm.derive_in(&ctx, &s);
+                    let (eager, _) = derive_eager(&wm, &ctx, &s, Parallelism::Threads(3));
+                    let at = format!("{name}, {author}, {:?}", wm.config);
+                    match (&lazy, &eager) {
+                        (Ok((ld, le, lw)), Ok((ed, ee, ew))) => {
+                            assert_eq!(le, ee, "{at}: edges differ");
+                            assert_eq!(ld, ed, "{at}: domains differ");
+                            assert_eq!(lw.available_steps(), ew.available_steps(), "{at}");
+                            outcomes.insert("ok");
+                        }
+                        (Err(l), Err(e)) => {
+                            assert_eq!(format!("{l:?}"), format!("{e:?}"), "{at}: errors differ");
+                            outcomes.insert(match l {
+                                WatermarkError::NoIncomparablePairs { .. } => "no_pairs",
+                                WatermarkError::NoDomain { .. } => "no_domain",
+                                WatermarkError::TooFewEdges { .. } => "too_few",
+                                _ => "other",
+                            });
+                        }
+                        _ => panic!("{at}: lazy {lazy:?} vs eager {eager:?}"),
+                    }
+                }
+            }
+        }
+        assert!(outcomes.contains("ok"), "some derivations succeed");
+        assert!(
+            outcomes.contains("no_pairs"),
+            "the serial designs reach the typed NoIncomparablePairs path: {outcomes:?}"
+        );
+    }
+
+    #[test]
+    fn attempts_counter_counts_only_consumed_localities() {
+        use localwm_engine::RecordingProbe;
+        use std::sync::Arc;
+        let mut saved = 0u64;
+        for (name, g) in reference_designs() {
+            for config in reference_configs() {
+                let max_attempts = config.max_attempts as u64;
+                let wm = SchedulingWatermarker::new(config);
+                for author in ["alice", "bob"] {
+                    let s = sig(author);
+                    let probe = Arc::new(RecordingProbe::new());
+                    let ctx = DesignContext::from(&g).with_probe(probe.clone());
+                    let _ = wm.derive_in(&ctx, &s);
+                    let (_, consumed) =
+                        derive_eager(&wm, &DesignContext::from(&g), &s, Parallelism::Serial);
+                    let prepared = probe.counter_value("core.sched_wm.attempts");
+                    assert!(
+                        prepared <= consumed,
+                        "{name}, {author}: prepared {prepared} localities, the loop consumed {consumed}"
+                    );
+                    saved += max_attempts - prepared;
+                }
+            }
+        }
+        assert!(saved > 0, "some derivation stops before its last attempt");
     }
 
     #[test]

@@ -18,7 +18,8 @@
 //!   events) with a JSON-dumpable [`RecordingProbe`].
 //! * [`Parallelism`] / [`par_map`] — deterministic, order-preserving
 //!   fan-out of independent work across a lazily-started persistent worker
-//!   pool ([`pool_stats`] reports its activity).
+//!   pool ([`pool_stats`] reports its activity); `Auto` fans out only onto
+//!   cores no other [`occupy`] holder is using.
 //!
 //! # Example
 //!
@@ -59,7 +60,7 @@ pub use bounded::{
 pub use context::{DesignContext, EngineError, WindowTable};
 pub use delay::{DelayBounds, DelayInterval, DynamicBounds, KindBounds};
 pub use editor::DesignEditor;
-pub use par::{par_map, Parallelism};
+pub use par::{occupy, par_map, Occupancy, Parallelism};
 pub use pool::{pool_stats, set_pool_threads, PoolStats};
 pub use probe::{timed, NoopProbe, Probe, RecordingProbe};
 pub use unit::UnitTiming;

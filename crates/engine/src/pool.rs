@@ -26,6 +26,9 @@
 //!   `available_parallelism − 1`. The override exists so tests (and the CI
 //!   oversubscription lane) can pin a deterministic pool size on a host
 //!   whose core count would otherwise decide it.
+//! * **Occupancy** — a worker holds an [`occupy`](crate::occupy) guard
+//!   while it runs a stolen job, so `Auto` calls on other threads (and
+//!   nested ones inside the job) see that core as taken.
 //! * **Drain on idle** — workers park on the registry condvar when no batch
 //!   has work ([`PoolStats::park_wakeups`] counts their wakeups); threads
 //!   persist for the process lifetime.
@@ -56,6 +59,8 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
+
+use crate::par::{occupancy_counts, occupy};
 
 /// A lifetime-erased unit of work.
 type Job = Box<dyn FnOnce() + Send>;
@@ -112,6 +117,13 @@ pub struct PoolStats {
     pub cross_batch_steals: u64,
     /// Times an idle worker woke from its park to look for work.
     pub park_wakeups: u64,
+    /// Threads running request compute right now — serve workers and
+    /// session requests per request, pool workers per stolen job (see
+    /// [`occupy`](crate::occupy)). A gauge, not a counter.
+    pub occupied: usize,
+    /// [`Parallelism::Auto`](crate::Parallelism::Auto) resolutions cut to
+    /// one worker because other threads held the cores.
+    pub inline_runs: u64,
 }
 
 static POOL: OnceLock<&'static Pool> = OnceLock::new();
@@ -186,6 +198,7 @@ fn start_pool(threads: usize) -> &'static Pool {
 /// submitted (the stats call itself does not start the pool's threads —
 /// it only reads what exists).
 pub fn pool_stats() -> PoolStats {
+    let (occupied, inline_runs) = occupancy_counts();
     match POOL.get() {
         Some(p) => PoolStats {
             threads: p.threads,
@@ -193,6 +206,8 @@ pub fn pool_stats() -> PoolStats {
             steals: p.steals.load(Ordering::Relaxed),
             cross_batch_steals: p.cross_batch_steals.load(Ordering::Relaxed),
             park_wakeups: p.park_wakeups.load(Ordering::Relaxed),
+            occupied,
+            inline_runs,
         },
         None => PoolStats {
             threads: 0,
@@ -200,6 +215,8 @@ pub fn pool_stats() -> PoolStats {
             steals: 0,
             cross_batch_steals: 0,
             park_wakeups: 0,
+            occupied,
+            inline_runs,
         },
     }
 }
@@ -242,6 +259,7 @@ fn worker_loop(pool: &'static Pool) {
             }
         };
         pool.steals.fetch_add(1, Ordering::Relaxed);
+        let _compute = occupy();
         run_job(pool, &bq, job);
     }
 }

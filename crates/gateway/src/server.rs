@@ -501,13 +501,15 @@ impl Shared {
         // sharded-cache counters, summed over the backends that answered.
         // Cache sums are over each backend's aggregate view — the shard
         // breakdown stays per-backend under `backends[i].upstream.cache`.
-        let mut pool_sums = [0u64; 5];
-        const POOL_FIELDS: [&str; 5] = [
+        let mut pool_sums = [0u64; 7];
+        const POOL_FIELDS: [&str; 7] = [
             "threads",
             "jobs",
             "steals",
             "cross_batch_steals",
             "park_wakeups",
+            "occupied",
+            "inline_runs",
         ];
         let mut cache_sums = [0u64; 5];
         const CACHE_FIELDS: [&str; 5] = ["hits", "misses", "evictions", "entries", "capacity"];

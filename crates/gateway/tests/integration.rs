@@ -369,6 +369,10 @@ fn cluster_stats_aggregates_backend_gauges() {
         pool.field("steals").is_some() && pool.field("cross_batch_steals").is_some(),
         "pool aggregate carries the work-stealing counters"
     );
+    assert!(
+        pool.field("occupied").is_some() && pool.field("inline_runs").is_some(),
+        "pool aggregate carries the occupancy gauge and inline-run count"
+    );
     let backends = match resp.result_field("backends") {
         Some(Value::Array(a)) => a.clone(),
         other => panic!("expected backend array, got {other:?}"),

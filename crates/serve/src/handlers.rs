@@ -2,8 +2,9 @@
 //! context cache) to a result object or a typed [`ServiceError`].
 //!
 //! The server runs handlers on its worker threads with the parallelism it
-//! resolved once at startup from `LOCALWM_THREADS`
-//! ([`Parallelism::from_env`]: `Auto` unless the variable holds a number).
+//! read once at startup from `LOCALWM_THREADS`
+//! ([`Parallelism::from_env`]: `Auto` unless the variable holds a number;
+//! `Auto` then resolves per pass against the cores other requests occupy).
 //! Every handler is deterministic in its request and every engine pass is
 //! parallelism-invariant, so concurrent and serial executions of the same
 //! request stream produce byte-identical responses.

@@ -2,7 +2,7 @@
 //!
 //! Threading model:
 //!
-//! * **Acceptor** — non-blocking accept loop; spawns one reader thread per
+//! * **Acceptor** — blocks in `accept`; spawns one reader thread per
 //!   connection and never does request work itself.
 //! * **Connection readers** — decode JSON lines, answer `stats` and
 //!   `shutdown` inline (so observability and drain work even under a full
@@ -10,8 +10,12 @@
 //!   other request: a full queue yields an immediate typed `overloaded`
 //!   error instead of blocking.
 //! * **Workers** — a fixed pool popping the bounded queue and running
-//!   each request's handler with the engine parallelism read once at
-//!   startup ([`Parallelism::from_env`]).
+//!   each request's handler with the engine parallelism setting read at
+//!   startup ([`Parallelism::from_env`]). A worker holds an engine
+//!   [`occupy`](localwm_engine::occupy) guard while it computes, so under
+//!   the default [`Parallelism::Auto`] a request fans out only onto cores
+//!   no other request is using: with every core busy it runs inline, and a
+//!   lone request on an idle server still fans out.
 //! * **Watchdog** — scans pending requests every few milliseconds and
 //!   answers expired ones with `deadline_exceeded`; the response-once flag
 //!   keeps a late worker from double-answering.
@@ -464,10 +468,12 @@ struct Shared {
     json_requests: AtomicU64,
     binary_requests: AtomicU64,
     workers: usize,
-    /// Parallelism for nested engine passes, resolved once at startup from
-    /// `LOCALWM_THREADS`. Engine passes are parallelism-invariant, so this
-    /// only affects speed; parallel work runs on the process-wide engine
-    /// worker pool shared by all serve workers.
+    /// Parallelism for nested engine passes, read once at startup from
+    /// `LOCALWM_THREADS`. `Auto` (the default) resolves per pass against
+    /// the cores other requests occupy. Engine passes are
+    /// parallelism-invariant, so this only affects speed; parallel work
+    /// runs on the process-wide engine worker pool shared by all serve
+    /// workers.
     engine_par: Parallelism,
     injector: Option<Arc<FaultInjector>>,
 }
@@ -590,6 +596,8 @@ impl Shared {
                         p.cross_batch_steals.to_value(),
                     ),
                     ("park_wakeups".to_owned(), p.park_wakeups.to_value()),
+                    ("occupied".to_owned(), p.occupied.to_value()),
+                    ("inline_runs".to_owned(), p.inline_runs.to_value()),
                 ])
             }),
             (
@@ -1235,8 +1243,10 @@ fn handle_session(
     });
     shared.jobs_submitted.fetch_add(1, Ordering::SeqCst);
     shared.executed.fetch_add(1, Ordering::SeqCst);
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_session(shared, req)));
+    let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        let _compute = localwm_engine::occupy();
+        run_session(shared, req)
+    }));
     let resp = match result {
         Ok(Ok(body)) => Response::success(req.id, req.kind.as_str(), body),
         Ok(Err(e)) => Response::failure(req.id, req.kind.as_str(), e),
@@ -1393,6 +1403,7 @@ fn worker_loop(shared: &Arc<Shared>) {
             shared.busy_workers.fetch_add(1, Ordering::SeqCst);
             shared.executed.fetch_add(1, Ordering::SeqCst);
             let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _compute = localwm_engine::occupy();
                 handlers::execute_keyed(&shared.cache, &job.req, job.design_key, shared.engine_par)
             }));
             shared.busy_workers.fetch_sub(1, Ordering::SeqCst);
